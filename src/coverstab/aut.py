@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph_core import Graph, write_graph6, parse_graph6
+from .graph_core import Graph, graph6_payload, graph6_size_prefix
 from .perms import Permutation, PermGroup, group_from_generators
 
 
@@ -122,25 +122,6 @@ def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
         queue.append(fb)
     _refine_cells(g.adj, cells, queue, [], g.n)
     return OrderedPartition(tuple(tuple(c) for c in cells))
-
-
-def _leaf_payload(adj, lab: list[int], n: int) -> bytes:
-    """graph6 payload bytes of the graph relabeled by leaf order ``lab``."""
-    out = bytearray()
-    buf = 0
-    filled = 0
-    for j in range(1, n):
-        row = adj[lab[j]]
-        for i in range(j):
-            buf = (buf << 1) | ((row >> lab[i]) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(buf + 63)
-                buf = 0
-                filled = 0
-    if filled:
-        out.append((buf << (6 - filled)) + 63)
-    return bytes(out)
 
 
 def _target_cell_index(cells: list[list[int]]) -> int:
@@ -286,7 +267,7 @@ class _Search:
     def _leaf(self, cells: list[list[int]], path: list[tuple],
               prefix: list[int]) -> None:
         lab = [c[0] for c in cells]
-        payload = _leaf_payload(self.adj, lab, self.n)
+        payload = graph6_payload(self.adj, lab)
         if self.zeta_payload is None:
             self.zeta_inv = list(path)
             self.zeta_payload = payload
@@ -330,22 +311,13 @@ def canonical_form(g: Graph,
         if cached is not None:
             return cached
         initial_partition = OrderedPartition.unit(g.n)
-    if g.n == 0:
-        cf = CanonicalForm(Permutation(()), write_graph6(g), (), ())
-        if not colored:
-            g._cache["canon"] = cf
-        return cf
     search = _Search(g, initial_partition)
     search.run()
     n = g.n
     relab = [0] * n
     for pos, v in enumerate(search.rho_lab):
         relab[v] = pos
-    if n < 63:
-        prefix = chr(n + 63)
-    else:
-        prefix = "~" + chr((n >> 12) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
-    canon6 = prefix + search.rho_payload.decode("ascii")
+    canon6 = (graph6_size_prefix(n) + search.rho_payload).decode("ascii")
     cf = CanonicalForm(
         relabeling=Permutation(relab),
         canonical_graph6=canon6,
@@ -383,8 +355,3 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
     return canonical_form(g).canonical_graph6 == canonical_form(h).canonical_graph6
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled copy of g."""
-    return parse_graph6(canonical_form(g).canonical_graph6)

@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graph_core import (Graph, GraphParseError, parse_graph6, write_graph6,
-                         bits, is_connected, is_bipartite, has_twins)
+from .graph_core import (Graph, GraphParseError, SoundnessError,
+                         parse_graph6, write_graph6, bits, is_connected,
+                         is_bipartite, has_twins)
+from .perms import orbit_of
 from .aut import canonical_form
 from .cover import stability_report
 
@@ -51,21 +53,6 @@ class XabWitness:
     b2: int
     A: frozenset
     B: frozenset
-
-
-def _orbit_of_vertex(gens, v: int) -> set:
-    orb = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
-                if y not in orb:
-                    orb.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return orb
 
 
 def _subset_orbit_reps(m: int, gens) -> list[int]:
@@ -111,7 +98,7 @@ def _augment(parent: Graph) -> Iterator[Graph]:
         # canonical deletion vertex: preimage of the last canonical position
         kappa = ccf.relabeling.images.index(m)
         cgens = [p.images for p in ccf.aut_generators]
-        if kappa == m or m in _orbit_of_vertex(cgens, kappa):
+        if kappa == m or m in orbit_of(cgens, kappa):
             yield child
 
 
@@ -210,7 +197,10 @@ def classify_graph(g: Graph) -> tuple[bool, bool, bool]:
     report = stability_report(g)
     if report.stable:
         return (True, False, False)
-    assert report.classification == "nontrivially_unstable"
+    if report.classification != "nontrivially_unstable":
+        raise SoundnessError(
+            f"unstable connected non-bipartite twin-free graph classified "
+            f"{report.classification}")
     return (True, True, is_xab_realizable(g) is not None)
 
 
@@ -257,5 +247,6 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
             if is_ntu and collect_ntu is not None:
                 collect_ntu.append(line)
     row = CensusRow(n=n, count_cnbtf=cnbtf, count_ntu=ntu, count_xab=xab)
-    assert row.count_xab <= row.count_ntu <= row.count_cnbtf
+    if not row.count_xab <= row.count_ntu <= row.count_cnbtf:
+        raise SoundnessError(f"census counts out of order: {row}")
     return row

@@ -6,14 +6,20 @@ the fiber {x, x + n}, with x in layer 0 and x + n in layer 1. A graph is
 stable exactly when |Aut(BX)| = 2 |Aut(X)|: the expected subgroup (lifts of
 base automorphisms together with the layer swap) always has order exactly
 2 |Aut(X)|, so order equality means every cover automorphism is expected.
+
+For a connected non-bipartite base the cover is connected and bipartite
+with the two layers as its colour classes, so every cover automorphism
+preserves or swaps the layers: |Aut(BX)| is twice the order of the
+layer-preserving subgroup, which is the smaller search. Otherwise the
+layers are not an invariant of the cover and the whole cover is searched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .graph_core import Graph, is_connected, is_bipartite, has_twins, bits
+from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
+                         has_twins, bits)
 from .perms import Permutation, PermGroup, group_from_generators
 from .aut import OrderedPartition, automorphism_group
 
@@ -110,7 +116,10 @@ def expected_subgroup(d: DoubleCover) -> PermGroup:
     gens = [tau(d)]
     gens.extend(lift(d, phi) for phi in aut_x.generators)
     grp = group_from_generators(gens, 2 * d.base.n)
-    assert grp.order() == 2 * aut_x.order()
+    if grp.order() != 2 * aut_x.order():
+        raise SoundnessError(
+            f"expected subgroup has order {grp.order()}, "
+            f"not 2|Aut(X)| = {2 * aut_x.order()}")
     return grp
 
 
@@ -143,33 +152,7 @@ def is_expected(d: DoubleCover, alpha: Permutation) -> bool:
     return expected_subgroup(d).contains(alpha)
 
 
-def _layer_partition(n: int) -> OrderedPartition:
-    return OrderedPartition.from_cells(
-        [list(range(n)), list(range(n, 2 * n))], 2 * n)
-
-
-def cover_aut_order_and_group(
-        d: DoubleCover,
-        use_layer_partition: bool = False) -> tuple[int, Optional[PermGroup]]:
-    """|Aut(BX)|, plus the group itself when computed directly.
-
-    With ``use_layer_partition`` (valid only for a connected non-bipartite
-    base, where the layers are the bipartition classes of the connected
-    cover) only layer-preserving automorphisms are searched and the order
-    is doubled to account for the layer swap; the full group object is not
-    materialized in that mode.
-    """
-    if use_layer_partition:
-        if not (is_connected(d.base) and not is_bipartite(d.base)):
-            raise ValueError(
-                "layer-partition shortcut requires a connected non-bipartite base")
-        fixed = automorphism_group(d.cover, _layer_partition(d.base.n))
-        return 2 * fixed.order(), None
-    grp = automorphism_group(d.cover)
-    return grp.order(), grp
-
-
-def stability_report(g: Graph, use_layer_partition: bool = False) -> StabilityReport:
+def stability_report(g: Graph) -> StabilityReport:
     """Decide stability of g by comparing |Aut(BX)| with 2 |Aut(X)|.
 
     Trivially unstable reasons are all reported even when several apply;
@@ -179,16 +162,22 @@ def stability_report(g: Graph, use_layer_partition: bool = False) -> StabilityRe
     if g.n == 0:
         raise ValueError("stability is undefined for the empty graph")
     cached = g._cache.get("stability")
-    if cached is not None and not use_layer_partition:
+    if cached is not None:
         return cached
-    d = double_cover(g)
+    n = g.n
+    connected = is_connected(g)
+    bipartite = is_bipartite(g)
+    if connected and not bipartite:
+        partition = OrderedPartition((tuple(range(n)), tuple(range(n, 2 * n))))
+        factor = 2
+    else:
+        partition = OrderedPartition.unit(2 * n)
+        factor = 1
     aut_x = automorphism_group(g).order()
-    aut_bx, _ = cover_aut_order_and_group(
-        d, use_layer_partition=use_layer_partition and
-        is_connected(g) and not is_bipartite(g))
+    aut_bx = factor * automorphism_group(double_cover(g).cover, partition).order()
     expected = 2 * aut_x
     if aut_bx % expected:
-        raise AssertionError(
+        raise SoundnessError(
             f"2|Aut(X)| = {expected} does not divide |Aut(BX)| = {aut_bx}")
     index = aut_bx // expected
     stable = index == 1
@@ -196,8 +185,6 @@ def stability_report(g: Graph, use_layer_partition: bool = False) -> StabilityRe
     if stable:
         classification = "stable"
     else:
-        connected = is_connected(g)
-        bipartite = is_bipartite(g)
         twins = has_twins(g)
         if not connected:
             reasons.append(REASON_DISCONNECTED)
@@ -207,17 +194,17 @@ def stability_report(g: Graph, use_layer_partition: bool = False) -> StabilityRe
             reasons.append(REASON_TWINS)
         if connected and not bipartite and not twins:
             classification = "nontrivially_unstable"
-        else:
+        elif reasons:
             classification = "trivially_unstable"
-            assert reasons, "unstable graph escaping both classifications"
+        else:
+            raise SoundnessError("unstable graph escaping both classifications")
     report = StabilityReport(
-        n=g.n,
+        n=n,
         aut_x_order=aut_x,
         aut_bx_order=aut_bx,
         stable=stable,
         instability_index=index,
         classification=classification,
         reasons=tuple(reasons))
-    if not use_layer_partition:
-        g._cache["stability"] = report
+    g._cache["stability"] = report
     return report

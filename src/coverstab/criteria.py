@@ -13,13 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph_core import (Graph, bits, bfs_distances, is_connected,
-                         is_bipartite, has_twins)
+from .graph_core import (Graph, SoundnessError, bits, diameter,
+                         distance_table, is_connected, is_bipartite,
+                         has_twins, triangle_flags)
 from .cover import stability_report
-
-
-class SoundnessError(RuntimeError):
-    """A criterion implied stability but the direct computation disagreed."""
 
 
 @dataclass(frozen=True)
@@ -71,26 +68,6 @@ class CriterionVerdict:
         return out
 
 
-def _every_edge_on_triangle(g: Graph) -> bool:
-    adj = g.adj
-    for u in range(g.n):
-        row = adj[u]
-        for v in bits(row >> (u + 1)):
-            if not row & adj[u + 1 + v]:
-                return False
-    return True
-
-
-def _is_triangle_free(g: Graph) -> bool:
-    adj = g.adj
-    for u in range(g.n):
-        row = adj[u]
-        for v in bits(row >> (u + 1)):
-            if row & adj[u + 1 + v]:
-                return False
-    return True
-
-
 def srg_params(g: Graph) -> Optional[SrgParams]:
     """Strongly regular parameters, or None if the uniformity fails.
 
@@ -137,7 +114,7 @@ def intersection_array(g: Graph) -> Optional[IntersectionArray]:
     k = adj[0].bit_count()
     if any(row.bit_count() != k for row in adj):
         return None
-    dist = [bfs_distances(g, x) for x in range(n)]
+    dist = distance_table(g)
     d = max(max(row) for row in dist)
     if d == 0:
         return None
@@ -191,10 +168,9 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
         failed.append("not connected")
     if failed:
         return CriterionVerdict(crit, False, tuple(failed))
-    if not _every_edge_on_triangle(g):
+    if not triangle_flags(g)[0]:
         failed.append("an edge lies on no triangle")
-    for x in range(g.n):
-        dist = bfs_distances(g, x)
+    for x, dist in enumerate(distance_table(g)):
         shell2 = [v for v, dv in enumerate(dist) if dv == 2]
         if not shell2:
             failed.append(f"second shell of vertex {x} is empty")
@@ -250,15 +226,14 @@ def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
         return CriterionVerdict(crit, False, tuple(failed))
     if has_twins(g):
         failed.append("has twins")
-    if not _every_edge_on_triangle(g):
+    if not triangle_flags(g)[0]:
         failed.append("an edge lies on no triangle")
     if failed:
         return CriterionVerdict(crit, False, tuple(failed))
     adj = g.adj
     adjacent_counts = set()
     distance2_counts = set()
-    for u in range(g.n):
-        du = bfs_distances(g, u)
+    for u, du in enumerate(distance_table(g)):
         for v in range(u + 1, g.n):
             if du[v] == 1:
                 adjacent_counts.add((adj[u] & adj[v]).bit_count())
@@ -292,8 +267,9 @@ def check_srg_distinct_counts(g: Graph) -> CriterionVerdict:
         failed.append("lambda = 0 (triangle-free)")
     if failed:
         return CriterionVerdict(crit, False, tuple(failed))
-    assert check_common_neighbor_separation(g).applies, \
-        "srg-distinct-counts must be a special case of common-neighbor-separation"
+    if not check_common_neighbor_separation(g).applies:
+        raise SoundnessError("srg-distinct-counts holds but its special case "
+                             "common-neighbor-separation does not")
     return CriterionVerdict(crit, True, (), "stable",
                             detail=f"srg{p.as_tuple()}")
 
@@ -314,12 +290,12 @@ def check_triangle_free_diam2(g: Graph) -> CriterionVerdict:
     else:
         if is_bipartite(g):
             failed.append("bipartite")
-        ecc = max(max(bfs_distances(g, x)) for x in range(g.n))
-        if ecc != 2:
-            failed.append(f"diameter {ecc} != 2")
+        diam = diameter(g)
+        if diam != 2:
+            failed.append(f"diameter {diam} != 2")
     if has_twins(g):
         failed.append("has twins")
-    if not _is_triangle_free(g):
+    if not triangle_flags(g)[1]:
         failed.append("contains a triangle")
     if failed:
         return CriterionVerdict(crit, False, tuple(failed))
@@ -334,8 +310,7 @@ def second_shell_split(g: Graph, x: int) -> tuple[frozenset, frozenset]:
     first part is never empty (otherwise the shell plus neighbourhood
     structure would 2-color the graph); the suite asserts this.
     """
-    dist = bfs_distances(g, x)
-    shell = [v for v, d in enumerate(dist) if d == 2]
+    shell = [v for v, d in enumerate(distance_table(g)[x]) if d == 2]
     shell_bits = 0
     for v in shell:
         shell_bits |= 1 << v

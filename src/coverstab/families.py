@@ -12,7 +12,6 @@ from typing import Iterable
 from .graph_core import Graph, is_bipartite, has_twins
 from .perms import Permutation
 from .aut import vertex_orbits
-from .cover import DoubleCover, double_cover
 
 
 def complete_graph(n: int) -> Graph:
@@ -154,7 +153,3 @@ def instability_witness(e: XabExtension) -> Permutation:
     images[e.b1 + nn], images[e.b2 + nn] = images[e.b2 + nn], images[e.b1 + nn]
     return Permutation(images)
 
-
-def witness_cover(e: XabExtension) -> DoubleCover:
-    """The double cover on which instability_witness acts."""
-    return double_cover(e.result)

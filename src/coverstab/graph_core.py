@@ -25,6 +25,10 @@ class GraphParseError(ValueError):
         self.offset = offset
 
 
+class SoundnessError(RuntimeError):
+    """Two computations of the same fact disagreed: always a bug."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -39,7 +43,8 @@ class Graph:
     ``adj[v]`` is the neighbourhood of v as a bitset. Instances hash and
     compare by (n, adj) and are safe to share across threads; the private
     ``_cache`` slot memoizes derived data (canonical form, automorphism
-    group, stability report) without affecting value semantics.
+    group, stability report, distance table) without affecting value
+    semantics.
     """
 
     __slots__ = ("n", "adj", "label", "_cache")
@@ -169,7 +174,11 @@ def parse_graph6(line: str) -> Graph:
     if isinstance(line, bytes):
         data = line
     else:
-        data = line.encode("ascii", errors="replace")
+        try:
+            data = line.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise GraphParseError(
+                f"non-ASCII character {line[exc.start]!r}", exc.start) from None
     data = data.rstrip(b"\r\n")
     if not data:
         raise GraphParseError("empty graph6 record", 0)
@@ -214,20 +223,23 @@ def parse_graph6(line: str) -> Graph:
     return Graph.from_rows(rows)
 
 
-def write_graph6(g: Graph) -> str:
-    """Encode a Graph as a canonical header-free graph6 record."""
-    n = g.n
+def graph6_size_prefix(n: int) -> bytes:
+    """The graph6 encoding of the order n."""
     if n < 63:
-        out = bytearray([n + 63])
-    else:
-        out = bytearray([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+        return bytes([n + 63])
+    return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+
+
+def graph6_payload(adj: Sequence[int], order: Sequence[int]) -> bytes:
+    """graph6 payload bytes of the graph relabeled so that vertex order[i]
+    becomes vertex i."""
+    out = bytearray()
     buf = 0
     filled = 0
-    adj = g.adj
-    for j in range(1, n):
-        row = adj[j]
+    for j in range(1, len(order)):
+        row = adj[order[j]]
         for i in range(j):
-            buf = (buf << 1) | ((row >> i) & 1)
+            buf = (buf << 1) | ((row >> order[i]) & 1)
             filled += 1
             if filled == 6:
                 out.append(buf + 63)
@@ -235,7 +247,13 @@ def write_graph6(g: Graph) -> str:
                 filled = 0
     if filled:
         out.append((buf << (6 - filled)) + 63)
-    return out.decode("ascii")
+    return bytes(out)
+
+
+def write_graph6(g: Graph) -> str:
+    """Encode a Graph as a canonical header-free graph6 record."""
+    return (graph6_size_prefix(g.n)
+            + graph6_payload(g.adj, range(g.n))).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +276,17 @@ def bfs_distances(g: Graph, x: int) -> list[int]:
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def distance_table(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs distances: row x is bfs_distances(g, x), -1 for
+    unreachable. Memoized per graph."""
+    table = g._cache.get("distances")
+    if table is None:
+        table = tuple(tuple(bfs_distances(g, x)) for x in range(g.n))
+        g._cache["distances"] = table
+    return table
+
 
 def distance_partition(g: Graph, x: int) -> DistancePartition:
     """BFS layers X_0(x), X_1(x), ... plus the unreachable remainder."""
@@ -304,28 +333,6 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
-def bipartition_classes(g: Graph) -> Optional[tuple[frozenset, frozenset]]:
-    """The 2-coloring classes, or None if g is not bipartite."""
-    color = [-1] * g.n
-    adj = g.adj
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in bits(adj[v]):
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    side0 = frozenset(v for v in range(g.n) if color[v] == 0)
-    side1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
-
-
 def has_twins(g: Graph) -> bool:
     """True iff two distinct vertices have identical open neighbourhoods.
 
@@ -340,13 +347,26 @@ def diameter(g: Graph) -> Optional[int]:
     """Max eccentricity, or None (infinite) when disconnected."""
     if g.n == 0:
         return 0
-    best = 0
-    for x in range(g.n):
-        dist = bfs_distances(g, x)
-        if -1 in dist:
-            return None
-        best = max(best, max(dist))
-    return best
+    if not is_connected(g):
+        return None
+    return max(max(row) for row in distance_table(g))
+
+
+def triangle_flags(g: Graph) -> tuple[bool, bool]:
+    """(every edge lies on a triangle, no edge does)."""
+    adj = g.adj
+    every_on_triangle = True
+    triangle_free = True
+    for u in range(g.n):
+        row = adj[u]
+        for v in bits(row >> (u + 1)):
+            if row & adj[u + 1 + v]:
+                triangle_free = False
+            else:
+                every_on_triangle = False
+            if not (every_on_triangle or triangle_free):
+                return False, False
+    return every_on_triangle, triangle_free
 
 
 def structural_profile(
@@ -359,16 +379,7 @@ def structural_profile(
     the canonical-labeling engine); without it the vertex_transitive field
     is left as None and only the cheap fields are computed.
     """
-    adj = g.adj
-    every_on_triangle = True
-    triangle_free = True
-    for u in range(g.n):
-        row = adj[u]
-        for v in bits(row >> (u + 1)):
-            if row & adj[u + 1 + v]:
-                triangle_free = False
-            else:
-                every_on_triangle = False
+    every_on_triangle, triangle_free = triangle_flags(g)
     vt: Optional[bool] = None
     if aut_orbits is not None:
         vt = len(aut_orbits(g)) <= 1

@@ -141,6 +141,22 @@ def _inv(p: tuple) -> tuple:
     return tuple(out)
 
 
+def orbit_of(gens: Sequence[tuple], x: int) -> set[int]:
+    """The orbit of x under the group generated by the image tuples gens."""
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = g[a]
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
 class _Level:
     """One stabilizer level: base point, gens fixing the earlier base
     prefix, and the basic orbit as a Schreier vector (point -> (gen, parent)).
@@ -331,19 +347,7 @@ class PermGroup:
     def orbit(self, x: int) -> frozenset:
         if not 0 <= x < self.degree:
             raise ValueError(f"point {x} out of range")
-        seen = {x}
-        frontier = [x]
-        gens = [g.images for g in self.generators]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = g[a]
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(orbit_of([g.images for g in self.generators], x))
 
     def orbits(self) -> list[frozenset]:
         """All vertex orbits, ordered by smallest element."""

@@ -16,7 +16,7 @@ from coverstab.cover import (double_cover, expected_subgroup,
                              is_fiber_preserving, stability_report)
 from coverstab.criteria import srg_params, criteria_summary, SoundnessError
 from coverstab.families import (complete_graph, cycle, johnson, lex_product,
-                                extend_xab, instability_witness, witness_cover)
+                                extend_xab, instability_witness)
 from coverstab.census import census_row
 
 from oracles import brute_force_aut_count, random_graph
@@ -139,7 +139,7 @@ def test_criterion_5_extension_property():
         A = set(rng.sample(range(n), a_size))
         B = set(rng.sample(range(n), rng.randrange(0, n + 1)))
         ext = extend_xab(x, A, B)
-        d = witness_cover(ext)
+        d = double_cover(ext.result)
         gs = instability_witness(ext)
         ok = (stability_report(ext.result).classification
               == "nontrivially_unstable")

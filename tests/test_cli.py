@@ -1,5 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
 
 from coverstab.graph_core import parse_graph6, write_graph6
 from coverstab.aut import are_isomorphic
@@ -41,6 +48,11 @@ class TestAnalyze:
         code, out, err = invoke(capsys, "analyze", "!!!")
         assert code == EXIT_PARSE
         assert not out and "parse error" in err
+
+    def test_non_ascii_record_is_a_parse_error(self, capsys):
+        code, out, err = invoke(capsys, "analyze", "B\u00e9")
+        assert code == EXIT_PARSE
+        assert not out and "non-ASCII" in err
 
 
 class TestCover:
@@ -153,3 +165,51 @@ class TestUsage:
         code, out, err = invoke(capsys, "analyze", "--criteria", "Bw")
         assert code == EXIT_SOUNDNESS
         assert "soundness" in err
+
+
+# Each case breaks one fact, then runs a command line under ``python -O``
+# (which strips assert statements); a soundness check must still fire.
+FORCED_FAILURES = {
+    "cover order not divisible by 2|Aut(X)|": ("""
+        real = cover.automorphism_group
+        cover.automorphism_group = lambda g, p=None: (
+            Order(3) if g.n == 6 else real(g, p))
+        """, ["analyze", "Bw"]),
+    "expected subgroup of the wrong order": ("""
+        cover.group_from_generators = lambda gens, n: Order(5)
+        cli.stability_report = lambda g: cover.expected_subgroup(
+            cover.double_cover(g))
+        """, ["analyze", "Bw"]),
+    "census graph escaping its classification": ("""
+        real = census.stability_report
+        census.stability_report = lambda g: dataclasses.replace(
+            real(g), stable=False, classification="trivially_unstable")
+        """, ["census", "--n", "4"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_FAILURES))
+def test_soundness_checks_survive_optimize(case):
+    setup, argv = FORCED_FAILURES[case]
+    script = textwrap.dedent("""
+        import dataclasses
+        import sys
+        from coverstab import census, cli, cover
+
+        class Order:
+            def __init__(self, value):
+                self.value = value
+
+            def order(self):
+                return self.value
+        """) + textwrap.dedent(setup) + textwrap.dedent(f"""
+        sys.exit(cli.run({argv!r}) if sys.flags.optimize else 99)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_SOUNDNESS, proc.stderr
+    assert "soundness inconsistency" in proc.stderr

@@ -220,12 +220,17 @@ class TestStabilityReport:
         assert not expected_subgroup(d).contains(inside_fiber_swap)
 
     def test_layer_partition_shortcut(self, graphs_by_order):
+        # the full 2n-vertex search on the cover is the reference for the
+        # layer-wise search that connected non-bipartite bases take
         rng = random.Random(9)
-        pool = [g for g in rng.sample(graphs_by_order[6], 40)
-                if is_connected(g) and not is_bipartite(g)]
-        for g in pool:
-            fast = stability_report(g, use_layer_partition=True)
-            assert fast == stability_report(g)
+        sample = rng.sample(graphs_by_order[6], 40)
+        layered = [g for g in sample if is_connected(g) and not is_bipartite(g)]
+        bipartite = [g for g in sample if is_connected(g) and is_bipartite(g)]
+        disconnected = [g for g in sample if not is_connected(g)]
+        assert layered and bipartite and disconnected
+        for g in layered + bipartite[:3] + disconnected[:3]:
+            full = automorphism_group(double_cover(g).cover).order()
+            assert stability_report(g).aut_bx_order == full
 
     def test_expected_subgroup_closure_equals_lift_tau_closure(self):
         # expected subgroup = what tau and the lifts generate, element-wise

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
-from coverstab.graph_core import Graph, is_connected, has_twins
+from coverstab import graph_core
+from coverstab.graph_core import Graph, diameter, is_connected, has_twins
 from coverstab.cover import stability_report
 from coverstab.criteria import (SrgParams, IntersectionArray, SoundnessError,
                                 srg_params, intersection_array,
@@ -15,7 +17,9 @@ from coverstab.criteria import (SrgParams, IntersectionArray, SoundnessError,
                                 check_srg_instability_constraint,
                                 second_shell_split, criteria_summary)
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
-                                lex_product)
+                                lex_product, lexcycle)
+
+from oracles import random_graph
 
 
 
@@ -280,3 +284,51 @@ def test_unstable_srgs_have_equal_positive_counts(rook_4x4, shrikhande):
         assert not any(v.applies and v.implied == "stable" for v in verdicts)
     assert stability_report(rook_4x4).instability_index == 10
     assert stability_report(shrikhande).instability_index == 60
+
+
+class TestSharedDistanceTable:
+    @pytest.mark.parametrize("make", [
+        petersen,
+        lambda: random_graph(random.Random(40), 40, 0.5),
+    ], ids=["Petersen", "G(40,1/2)"])
+    def test_one_bfs_per_vertex(self, make, monkeypatch):
+        # every checker reads one all-pairs table; the only other BFS runs
+        # are the single-source is_connected calls, fewer than ten
+        g = make()
+        assert is_connected(g)
+        calls = []
+        real = graph_core.bfs_distances
+
+        def counting(h, x):
+            calls.append(x)
+            return real(h, x)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "coverstab"
+                    and getattr(module, "bfs_distances", None) is real):
+                monkeypatch.setattr(module, "bfs_distances", counting)
+        criteria_summary(g)
+        assert len(calls) <= g.n + 10
+
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(314)
+        pool = [johnson(6, 3), petersen(), lexcycle(8, cycle(6)),
+                complete_graph(5), cycle(9)]
+        while len(pool) < 65:
+            g = random_graph(rng, rng.randrange(2, 15),
+                             rng.choice([0.2, 0.35, 0.5, 0.8]))
+            if is_connected(g):
+                pool.append(g)
+        for g in pool:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert diameter(g) == nx.diameter(h)
+            try:
+                expected = nx.intersection_array(h)
+            except nx.NetworkXError:
+                expected = None
+            arr = intersection_array(g)
+            got = None if arr is None else (list(arr.b), list(arr.c))
+            assert got == expected

@@ -5,12 +5,12 @@ import pytest
 from coverstab.graph_core import (Graph, diameter, has_twins, is_connected,
                                   is_bipartite, structural_profile)
 from coverstab.aut import are_isomorphic, automorphism_group, canonical_form
-from coverstab.cover import (is_cover_automorphism, is_fiber_preserving,
-                             stability_report)
+from coverstab.cover import (double_cover, is_cover_automorphism,
+                             is_fiber_preserving, stability_report)
 from coverstab.criteria import srg_params
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                 lex_product, lexcycle, extend_xab,
-                                instability_witness, witness_cover)
+                                instability_witness)
 
 from oracles import random_graph
 
@@ -177,7 +177,7 @@ class TestXabExtension:
 class TestGammaStar:
     def test_certifies_instability(self):
         e = extend_xab(complete_graph(3), {0}, frozenset())
-        d = witness_cover(e)
+        d = double_cover(e.result)
         gs = instability_witness(e)
         assert is_cover_automorphism(d, gs)
         assert (gs * gs).is_identity()
@@ -201,7 +201,7 @@ class TestGammaStar:
             A = set(rng.sample(range(n), size_a))
             B = set(rng.sample(range(n), rng.randrange(0, n + 1)))
             e = extend_xab(x, A, B)
-            d = witness_cover(e)
+            d = double_cover(e.result)
             gs = instability_witness(e)
             assert is_cover_automorphism(d, gs)
             assert not is_fiber_preserving(d, gs)

@@ -76,6 +76,11 @@ class TestGraph6:
             # K2's payload with a stray bit in the padding area
             parse_graph6("A" + chr(0b111111 + 63))
 
+    def test_non_ascii_rejected_with_offset(self):
+        # must not be read as a '?' byte, which is valid graph6
+        with pytest.raises(GraphParseError, match="non-ASCII.*offset 1"):
+            parse_graph6("B\u00e9")
+
 
 class TestGraphType:
     def test_rejects_self_loops_and_range(self):
@@ -148,12 +153,14 @@ class TestStructuralProfile:
                         for u in range(g.n) for v in range(u + 1, g.n))
             assert has_twins(g) == naive
 
-    def test_every_edge_on_triangle_definition(self):
+    def test_triangle_flags_definition(self):
         rng = random.Random(5)
         for _ in range(200):
             g = random_graph(rng, rng.randrange(2, 9))
-            naive = all(common_neighbors(g, u, v) for u, v in g.edges())
-            assert structural_profile(g).every_edge_on_triangle == naive
+            on_triangle = [bool(common_neighbors(g, u, v)) for u, v in g.edges()]
+            p = structural_profile(g)
+            assert p.every_edge_on_triangle == all(on_triangle)
+            assert p.triangle_free == (not any(on_triangle))
 
     def test_disconnected_diameter_is_infinite(self):
         assert diameter(Graph(4, [(0, 1)])) is None
