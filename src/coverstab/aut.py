@@ -8,6 +8,13 @@ for the canonical form). Pruning uses path invariants plus orbit pruning
 under the already-discovered automorphisms that fix the branching prefix.
 Correctness never depends on the pruning: skipped branches are provably
 equivalent to explored ones.
+
+The group order is read off the search tree, as nauty does: when a node on
+the first path has explored all its children, the automorphisms found that
+fix its prefix generate its stabilizer, so |Aut| is the product over the
+first path of the orbit sizes of its individualized vertices. Schreier-Sims
+(``automorphism_group``) serves membership queries and cross-checks that
+order.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph_core import Graph, graph6_payload, graph6_size_prefix
-from .perms import Permutation, PermGroup, group_from_generators
+from .graph_core import (Graph, SoundnessError, graph6_payload,
+                         graph6_size_prefix)
+from .perms import Permutation, PermGroup, group_from_generators, orbit_of
 
 
 @dataclass(frozen=True)
@@ -51,12 +59,19 @@ class CanonicalForm:
 
     ``relabeling`` maps input vertex -> canonical position; applying it to
     the input graph yields exactly the graph encoded by canonical_graph6.
+    ``aut_order`` is the order of the group the generators generate.
     """
 
     relabeling: Permutation
     canonical_graph6: str
     aut_generators: tuple[Permutation, ...]
     base_sequence: tuple[int, ...]
+    aut_order: int
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitset of a set of vertices."""
+    return sum(1 << v for v in vertices)
 
 
 def _refine_cells(adj, cells: list[list[int]], queue: list[int],
@@ -97,10 +112,7 @@ def _refine_cells(adj, cells: list[list[int]], queue: list[int],
                 frag = groups[k]
                 trace.append(k)
                 trace.append(len(frag))
-                fb = 0
-                for v in frag:
-                    fb |= 1 << v
-                queue.append(fb)
+                queue.append(_mask(frag))
             ci += len(frags)
 
 
@@ -114,13 +126,7 @@ def _invariant(cells: list[list[int]], trace: list[int]) -> tuple:
 def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
     """Coarsest equitable refinement of p (deterministic given cell order)."""
     cells = [list(c) for c in p.cells]
-    queue = []
-    for c in cells:
-        fb = 0
-        for v in c:
-            fb |= 1 << v
-        queue.append(fb)
-    _refine_cells(g.adj, cells, queue, [], g.n)
+    _refine_cells(g.adj, cells, [_mask(c) for c in cells], [], g.n)
     return OrderedPartition(tuple(tuple(c) for c in cells))
 
 
@@ -151,19 +157,15 @@ class _Search:
         self.rho_payload: Optional[bytes] = None
         self.rho_lab: list[int] = []
         self.rho_base: list[int] = []
+        self.order = 1
         # Backjump target depth after an automorphism discovery, or None.
         self.jump_to: Optional[int] = None
 
     def run(self) -> None:
         cells = [list(c) for c in self.initial.cells]
-        queue = []
-        for c in cells:
-            fb = 0
-            for v in c:
-                fb |= 1 << v
-            queue.append(fb)
         trace: list[int] = []
-        _refine_cells(self.adj, cells, queue, trace, self.n)
+        _refine_cells(self.adj, cells, [_mask(c) for c in cells], trace,
+                      self.n)
         inv = _invariant(cells, trace)
         self._node(cells, [inv], [])
 
@@ -193,28 +195,9 @@ class _Search:
         if sig not in self.gens:
             self.gens.append(sig)
 
-    def _orbit_reps_done(self, v: int, done: list[int], prefix: list[int]) -> bool:
-        """Is v in the orbit of an explored sibling under the known
-        automorphisms fixing the branching prefix pointwise?"""
-        usable = [g for g in self.gens
-                  if all(g[b] == b for b in prefix)]
-        if not usable:
-            return False
-        seen = {v}
-        frontier = [v]
-        done_set = set(done)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in usable:
-                    b = g[a]
-                    if b in done_set:
-                        return True
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return False
+    def _fixing(self, prefix: list[int]) -> list[tuple[int, ...]]:
+        """The automorphisms found so far that fix prefix pointwise."""
+        return [g for g in self.gens if all(g[b] == b for b in prefix)]
 
     # -- the backtracking search ------------------------------------------
 
@@ -224,19 +207,18 @@ class _Search:
             self._leaf(cells, path, prefix)
             return
         ti = _target_cell_index(cells)
-        done: list[int] = []
-        for v in sorted(cells[ti]):
-            if self._orbit_reps_done(v, done, prefix):
+        first_path = self.zeta_payload is None
+        targets = sorted(cells[ti])
+        done: set[int] = set()
+        for v in targets:
+            if done and not done.isdisjoint(orbit_of(self._fixing(prefix), v)):
                 continue
-            done.append(v)
+            done.add(v)
             child = [list(c) for c in cells]
             rest = [u for u in child[ti] if u != v]
             child[ti:ti + 1] = [[v], rest]
-            rest_bits = 0
-            for u in rest:
-                rest_bits |= 1 << u
             trace: list[int] = [ti]
-            _refine_cells(self.adj, child, [1 << v, rest_bits], trace, self.n)
+            _refine_cells(self.adj, child, [1 << v, _mask(rest)], trace, self.n)
             inv = _invariant(child, trace)
             path.append(inv)
             if self.zeta_payload is None:
@@ -254,6 +236,10 @@ class _Search:
                 if len(prefix) > self.jump_to:
                     return
                 self.jump_to = None
+        if first_path:
+            # A backjump never unwinds past an open first-path node, so every
+            # sibling of the first child has been explored or pruned here.
+            self.order *= len(orbit_of(self._fixing(prefix), targets[0]))
 
     @staticmethod
     def _common_depth(a: list[int], b: list[int]) -> int:
@@ -322,7 +308,8 @@ def canonical_form(g: Graph,
         relabeling=Permutation(relab),
         canonical_graph6=canon6,
         aut_generators=tuple(Permutation(s) for s in search.gens),
-        base_sequence=tuple(search.zeta_base))
+        base_sequence=tuple(search.zeta_base),
+        aut_order=search.order)
     if not colored:
         g._cache["canon"] = cf
     return cf
@@ -331,7 +318,10 @@ def canonical_form(g: Graph,
 def automorphism_group(g: Graph,
                        initial_partition: Optional[OrderedPartition] = None) -> PermGroup:
     """The full edge-preserving permutation group of g (cell-preserving
-    subgroup when an initial partition is given)."""
+    subgroup when an initial partition is given).
+
+    Its Schreier-Sims order must equal the order the search reports.
+    """
     colored = initial_partition is not None
     if not colored:
         cached = g._cache.get("aut_group")
@@ -340,6 +330,10 @@ def automorphism_group(g: Graph,
     cf = canonical_form(g, initial_partition)
     grp = group_from_generators(cf.aut_generators, g.n,
                                 base_hint=cf.base_sequence)
+    if grp.order() != cf.aut_order:
+        raise SoundnessError(
+            f"Schreier-Sims order {grp.order()} differs from the search's "
+            f"order {cf.aut_order}")
     if not colored:
         g._cache["aut_group"] = grp
     return grp

@@ -12,6 +12,7 @@ oracle for cross-validation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -24,7 +25,7 @@ from .cover import stability_report
 
 BUILTIN_MAX_ORDER = 8
 
-# Graphs per order, OEIS-known, used as a generation self-check.
+# Graphs per order (OEIS A000088); enumerate_graphs checks its output count.
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
@@ -120,6 +121,10 @@ def enumerate_graphs(n: int, max_builtin: int = BUILTIN_MAX_ORDER) -> Iterator[G
         for parent in level:
             nxt.extend(_augment(parent))
         level = nxt
+    if len(level) != KNOWN_GRAPH_COUNTS.get(n, len(level)):
+        raise SoundnessError(
+            f"generated {len(level)} graphs of order {n}, "
+            f"not {KNOWN_GRAPH_COUNTS[n]}")
     yield from level
 
 
@@ -214,9 +219,13 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
                collect_ntu: Optional[list] = None,
                max_builtin: int = BUILTIN_MAX_ORDER) -> CensusRow:
     """Census counts for order n from the built-in generator or a graph6
-    line stream. With threads > 1, graphs are classified in a process pool;
-    counting is order-independent, so results are identical either way.
+    line stream. With threads > 1, graphs are classified in a process pool
+    of at most os.cpu_count() workers; counting is order-independent, so
+    results are identical either way.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
+    threads = min(threads, os.cpu_count() or 1)
     if source is None:
         lines = (write_graph6(g) for g in enumerate_graphs(n, max_builtin))
     else:

@@ -100,7 +100,9 @@ def _cmd_family(args) -> int:
 def _cmd_census(args) -> int:
     collect = [] if args.emit_ntu else None
     if args.stream:
-        with open(args.stream, "r", encoding="ascii") as handle:
+        # latin-1 decodes every byte, so parse_graph6 reports a non-ASCII
+        # byte as malformed input with its line number.
+        with open(args.stream, "r", encoding="latin-1") as handle:
             row = census_row(args.n, source=handle, threads=args.threads,
                              collect_ntu=collect)
     else:

@@ -324,13 +324,6 @@ class PermGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(self._base)
 
-    def strong_generators(self) -> list[Permutation]:
-        seen = {}
-        for lev in self._levels:
-            for g in lev.gens:
-                seen.setdefault(g, Permutation(g))
-        return list(seen.values())
-
     def order(self) -> int:
         return self._order
 

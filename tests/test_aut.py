@@ -1,9 +1,13 @@
 import random
 
-from coverstab.graph_core import Graph, parse_graph6
+import pytest
+
+from coverstab import aut
+from coverstab.graph_core import Graph, SoundnessError, parse_graph6
 from coverstab.perms import group_from_generators
 from coverstab.aut import (OrderedPartition, refine, canonical_form,
                            automorphism_group, are_isomorphic, vertex_orbits)
+from coverstab.cover import double_cover
 from coverstab.families import complete_graph, cycle, petersen, johnson
 
 from oracles import (brute_force_aut_count, backtrack_aut_count,
@@ -96,6 +100,39 @@ class TestAutomorphismGroup:
             stab0 = [p for p in closure if p[0] == 0]
             assert len(orbit0) * len(stab0) == len(closure)
             assert automorphism_group(g).order() == len(closure)
+
+    def test_order_disagreement_is_a_soundness_error(self, monkeypatch):
+        # one generator of the pentagon's dihedral group of order 10
+        # generates a proper subgroup, so Schreier-Sims on it alone must
+        # contradict the order the search reports
+        real = group_from_generators
+        monkeypatch.setattr(aut, "group_from_generators",
+                            lambda gens, n, base_hint=None: real(
+                                gens[:1], n, base_hint=base_hint))
+        assert len(canonical_form(cycle(5)).aut_generators) > 1
+        with pytest.raises(SoundnessError, match="differs"):
+            automorphism_group(cycle(5))
+
+    def test_search_order_matches_sympy(self):
+        # sympy's Schreier-Sims is independent of the search and of perms
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(74)
+        graphs = [random_graph(rng, rng.randrange(1, 13),
+                               rng.choice([0.1, 0.3, 0.5, 0.9]))
+                  for _ in range(60)]
+        graphs += [Graph(12), complete_graph(6), johnson(6, 3), petersen()]
+        cases = []
+        for g in graphs:
+            layers = OrderedPartition(
+                (tuple(range(g.n)), tuple(range(g.n, 2 * g.n))))
+            cases += [(g, None), (double_cover(g).cover, layers)]
+        for g, partition in cases:
+            cf = canonical_form(g, partition)
+            gens = [combinatorics.Permutation(list(p.images))
+                    for p in cf.aut_generators]
+            expected = (combinatorics.PermutationGroup(gens).order()
+                        if gens else 1)
+            assert cf.aut_order == expected
 
     def test_vertex_orbits_partition(self):
         orbits = vertex_orbits(petersen())

@@ -141,3 +141,28 @@ class TestCensusRow:
         par = census_row(6, threads=2, collect_ntu=par_ntu)
         assert seq == par
         assert seq_ntu == par_ntu
+
+    def test_thread_count_clamped_to_cpus(self, monkeypatch):
+        import multiprocessing
+        import os
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert census_row(5, threads=10 ** 6) == census_row(5)
+        assert sizes == [3]
+        with pytest.raises(ValueError, match="threads"):
+            census_row(5, threads=0)

@@ -144,6 +144,21 @@ class TestCensus:
                               "--stream", str(stream))
         assert code == EXIT_PARSE and "line" in err
 
+    def test_non_ascii_stream_is_a_parse_error(self, capsys, tmp_path):
+        stream = tmp_path / "bad.g6"
+        stream.write_text("Bw\nB\u00e9\n", encoding="utf-8")
+        code, out, err = invoke(capsys, "census", "--n", "3",
+                                "--stream", str(stream))
+        assert code == EXIT_PARSE
+        assert not out and "line 2" in err and "non-ASCII" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_thread_count_below_one_rejected(self, capsys, threads):
+        code, out, err = invoke(capsys, "census", "--n", "4",
+                                "--threads", threads)
+        assert code == EXIT_USAGE
+        assert not out and "threads" in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -171,9 +186,10 @@ class TestUsage:
 # (which strips assert statements); a soundness check must still fire.
 FORCED_FAILURES = {
     "cover order not divisible by 2|Aut(X)|": ("""
-        real = cover.automorphism_group
-        cover.automorphism_group = lambda g, p=None: (
-            Order(3) if g.n == 6 else real(g, p))
+        real = cover.canonical_form
+        cover.canonical_form = lambda g, p=None: (
+            dataclasses.replace(real(g, p), aut_order=3) if g.n == 6
+            else real(g, p))
         """, ["analyze", "Bw"]),
     "expected subgroup of the wrong order": ("""
         cover.group_from_generators = lambda gens, n: Order(5)
@@ -184,6 +200,9 @@ FORCED_FAILURES = {
         real = census.stability_report
         census.stability_report = lambda g: dataclasses.replace(
             real(g), stable=False, classification="trivially_unstable")
+        """, ["census", "--n", "4"]),
+    "generated graph count off the published one": ("""
+        census.KNOWN_GRAPH_COUNTS[4] = 12
         """, ["census", "--n", "4"]),
 }
 

@@ -1,10 +1,12 @@
 import random
+from itertools import islice
 
 import pytest
 
+from coverstab import aut, cover
 from coverstab.graph_core import Graph, is_connected, is_bipartite, has_twins
 from coverstab.perms import Permutation
-from coverstab.aut import automorphism_group, are_isomorphic
+from coverstab.aut import automorphism_group, are_isomorphic, canonical_form
 from coverstab.cover import (DoubleCover, double_cover, lift, tau,
                              expected_subgroup, is_expected,
                              is_fiber_preserving, is_cover_automorphism,
@@ -123,9 +125,38 @@ class TestIsExpected:
             for alpha in automorphism_group(d.cover).generators:
                 assert is_fiber_preserving(d, alpha) == exp.contains(alpha)
 
+    def test_layer_rule_matches_membership_without_groups(
+            self, graphs_by_order, monkeypatch):
+        # Schreier-Sims gives the reference: expected-subgroup membership of
+        # each cover-automorphism generator and of each product of two, and
+        # the whole-cover order. With group construction then refused, the
+        # decision must reproduce both on every graph of order <= 6 (fresh
+        # copies, so that no cached report is reused).
+        cases = []
+        for n in range(1, 7):
+            for g in graphs_by_order[n]:
+                d = double_cover(g)
+                gens = canonical_form(d.cover).aut_generators
+                alphas = list(gens) + [p * q for p in gens for q in gens]
+                exp = expected_subgroup(d)
+                cases.append((Graph.from_rows(g.adj), d, alphas,
+                              [exp.contains(a) for a in alphas],
+                              automorphism_group(g).order(),
+                              automorphism_group(d.cover).order()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the decision built a permutation group")
+
+        monkeypatch.setattr(aut, "group_from_generators", refuse)
+        monkeypatch.setattr(cover, "group_from_generators", refuse)
+        for g, d, alphas, members, aut_x, aut_bx in cases:
+            assert [is_expected(d, a) for a in alphas] == members
+            report = stability_report(g)
+            assert (report.aut_x_order, report.aut_bx_order) == (aut_x, aut_bx)
+
     def test_fallback_outside_lemma_hypotheses(self):
         # two isolated vertices: a swap inside one fiber preserves fibers
-        # but is not expected, so the fallback must decide by membership
+        # but is not expected, because it splits layer 0 between the layers
         g = Graph(2)
         d = double_cover(g)
         alpha = Permutation.from_cycles(4, [(0, 2)])
@@ -208,8 +239,8 @@ class TestStabilityReport:
     def test_fiber_decision_needs_connectivity(self):
         # K3 plus an isolated vertex: unstable, yet every cover
         # automorphism generator can be fiber-preserving (the unexpected
-        # one swaps inside the isolated fiber), so the fiber shortcut is
-        # restricted to connected non-bipartite bases
+        # one swaps inside the isolated fiber), so fiber preservation alone
+        # decides expectedness only for connected non-bipartite bases
         g = Graph(4, [(0, 1), (0, 2), (1, 2)])
         d = double_cover(g)
         r = stability_report(g)
@@ -218,6 +249,7 @@ class TestStabilityReport:
         assert is_cover_automorphism(d, inside_fiber_swap)
         assert is_fiber_preserving(d, inside_fiber_swap)
         assert not expected_subgroup(d).contains(inside_fiber_swap)
+        assert not is_expected(d, inside_fiber_swap)
 
     def test_layer_partition_shortcut(self, graphs_by_order):
         # the full 2n-vertex search on the cover is the reference for the
@@ -231,6 +263,26 @@ class TestStabilityReport:
         for g in layered + bipartite[:3] + disconnected[:3]:
             full = automorphism_group(double_cover(g).cover).order()
             assert stability_report(g).aut_bx_order == full
+
+    def test_cover_order_matches_vf2(self, graphs_by_order):
+        # networkx's VF2 enumerates cover automorphisms independently of the
+        # search; covers with more than `limit` of them are skipped
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+        limit = 10 ** 4
+        rng = random.Random(10)
+        compared = 0
+        for g in graphs_by_order[5] + rng.sample(graphs_by_order[6], 15):
+            cov = double_cover(g).cover
+            h = nx.Graph()
+            h.add_nodes_from(range(cov.n))
+            h.add_edges_from(cov.edges())
+            count = sum(1 for _ in islice(
+                GraphMatcher(h, h).isomorphisms_iter(), limit + 1))
+            if count <= limit:
+                assert stability_report(g).aut_bx_order == count
+                compared += 1
+        assert compared >= 40
 
     def test_expected_subgroup_closure_equals_lift_tau_closure(self):
         # expected subgroup = what tau and the lifts generate, element-wise
