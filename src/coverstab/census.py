@@ -2,12 +2,17 @@
 connected non-bipartite twin-free / non-trivially unstable / four-vertex-
 extension-realizable graphs.
 
-Generation uses canonical augmentation: children of a parent on m-1
-vertices are built by attaching vertex m-1 to one representative subset per
-automorphism orbit, and a child is accepted exactly when the new vertex
-lies in the automorphism orbit of the canonical deletion vertex. The
-labeled-enumeration + canonical-dedup path exists as the slow reference
-oracle for cross-validation.
+Generation uses canonical augmentation (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): children of a parent on m vertices
+are built by attaching a new vertex m to one representative subset per
+automorphism orbit. The deletion candidates of a child are its vertices
+of largest key (degree, sorted neighbour degrees); the canonical deletion
+vertex is the candidate of highest canonical position, and a child is
+accepted exactly when the new vertex lies in its automorphism orbit. A
+child is labelled only when the new vertex ties with another candidate.
+The last order is yielded as it is generated, so the census classifies
+while generation runs. The labeled-enumeration + canonical-dedup path
+exists as the slow reference oracle for cross-validation.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from .perms import orbit_of
 from .aut import canonical_form
 from .cover import stability_report
 
-BUILTIN_MAX_ORDER = 8
-
-# Graphs per order (OEIS A000088); enumerate_graphs checks its output count.
-KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+# Graphs per order (OEIS A000088): the orders enumerate_graphs generates,
+# and the count it checks its output against.
+KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
+                      8: 12346, 9: 274668}
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,38 @@ def _subset_orbit_reps(m: int, gens) -> list[int]:
     return reps
 
 
+def _deletion_candidates(rows: list[int]) -> list[int]:
+    """The vertices of largest key (degree, sorted neighbour degrees) in the
+    graph with adjacency rows, or [] when the last vertex is not one."""
+    m = len(rows) - 1
+    deg = [row.bit_count() for row in rows]
+    if max(deg) > deg[m]:
+        return []
+    key = sorted(deg[u] for u in bits(rows[m]))
+    candidates = [m]
+    for v in range(m):
+        if deg[v] == deg[m]:
+            other = sorted(deg[u] for u in bits(rows[v]))
+            if other > key:
+                return []
+            if other == key:
+                candidates.append(v)
+    return candidates
+
+
 def _augment(parent: Graph) -> Iterator[Graph]:
-    """Children of parent accepted by the canonical-deletion test."""
+    """Children of parent accepted by the canonical-deletion test.
+
+    The parent, on vertices 0..m-1, gets a new vertex m joined to one
+    subset per Aut(parent) orbit. The candidates for deletion in a child
+    are its vertices of largest key (degree, sorted neighbour degrees).
+    A child is rejected unlabelled when m is not a candidate, and accepted
+    unlabelled when m is the only one. Otherwise it is labelled, and the
+    canonical deletion vertex is the candidate of highest canonical
+    position; the child is accepted when m lies in that vertex's
+    Aut(child) orbit. Keys and canonical positions are isomorphism
+    invariants, so each class is accepted from exactly one parent class.
+    """
     m = parent.n
     cf = canonical_form(parent)
     gens = [p.images for p in cf.aut_generators]
@@ -94,38 +129,46 @@ def _augment(parent: Graph) -> Iterator[Graph]:
         rows = list(parent.adj) + [mask]
         for v in bits(mask):
             rows[v] |= 1 << m
+        candidates = _deletion_candidates(rows)
+        if not candidates:
+            continue
         child = Graph.from_rows(rows)
-        ccf = canonical_form(child)
-        # canonical deletion vertex: preimage of the last canonical position
-        kappa = ccf.relabeling.images.index(m)
-        cgens = [p.images for p in ccf.aut_generators]
-        if kappa == m or m in orbit_of(cgens, kappa):
-            yield child
+        if len(candidates) > 1:
+            ccf = canonical_form(child)
+            kappa = max(candidates, key=ccf.relabeling.images.__getitem__)
+            cgens = [p.images for p in ccf.aut_generators]
+            if kappa != m and m not in orbit_of(cgens, kappa):
+                continue
+        yield child
 
 
-def enumerate_graphs(n: int, max_builtin: int = BUILTIN_MAX_ORDER) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All graphs of order n, one representative per isomorphism class.
 
-    The built-in generator covers n <= 8; beyond that, feed a graph6 stream
-    (e.g. from an external generator) through stream_graph6 instead.
+    Built-in generation covers the orders of KNOWN_GRAPH_COUNTS (n <= 9);
+    beyond that, feed a graph6 stream (e.g. from an external generator)
+    through stream_graph6 instead. Order n is yielded as it is generated;
+    the count check raises SoundnessError after the last graph.
     """
     if n < 1:
         raise ValueError("enumerate_graphs requires n >= 1")
-    if n > max_builtin:
+    if n not in KNOWN_GRAPH_COUNTS:
         raise ValueError(
-            f"built-in generation supports n <= {max_builtin}; "
-            "use a graph6 stream input for larger orders")
+            f"built-in generation supports n <= {max(KNOWN_GRAPH_COUNTS)}; "
+            "use a graph6 stream input (census --stream) for larger orders")
     level = [Graph(1)]
-    for _ in range(n - 1):
-        nxt = []
-        for parent in level:
-            nxt.extend(_augment(parent))
-        level = nxt
-    if len(level) != KNOWN_GRAPH_COUNTS.get(n, len(level)):
+    for _ in range(n - 2):
+        level = [child for parent in level for child in _augment(parent)]
+    if n > 1:
+        level = (child for parent in level for child in _augment(parent))
+    count = 0
+    for g in level:
+        count += 1
+        yield g
+    if count != KNOWN_GRAPH_COUNTS[n]:
         raise SoundnessError(
-            f"generated {len(level)} graphs of order {n}, "
+            f"generated {count} graphs of order {n}, "
             f"not {KNOWN_GRAPH_COUNTS[n]}")
-    yield from level
 
 
 def enumerate_graphs_naive(n: int) -> list[Graph]:
@@ -216,8 +259,7 @@ def _classify_g6(line: str) -> tuple[bool, bool, bool, str]:
 
 def census_row(n: int, source: Optional[Iterable[str]] = None,
                threads: int = 1,
-               collect_ntu: Optional[list] = None,
-               max_builtin: int = BUILTIN_MAX_ORDER) -> CensusRow:
+               collect_ntu: Optional[list] = None) -> CensusRow:
     """Census counts for order n from the built-in generator or a graph6
     line stream. With threads > 1, graphs are classified in a process pool
     of at most os.cpu_count() workers; counting is order-independent, so
@@ -227,7 +269,7 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
         raise ValueError(f"threads must be at least 1, not {threads}")
     threads = min(threads, os.cpu_count() or 1)
     if source is None:
-        lines = (write_graph6(g) for g in enumerate_graphs(n, max_builtin))
+        lines = (write_graph6(g) for g in enumerate_graphs(n))
     else:
         def checked(src):
             for g in stream_graph6(src):

@@ -19,7 +19,7 @@ from .aut import are_isomorphic
 from .cover import double_cover, stability_report
 from .criteria import SoundnessError, criteria_summary
 from .families import extend_xab, johnson, lexcycle
-from .census import BUILTIN_MAX_ORDER, census_row
+from .census import census_row
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,9 +106,7 @@ def _cmd_census(args) -> int:
             row = census_row(args.n, source=handle, threads=args.threads,
                              collect_ntu=collect)
     else:
-        max_builtin = 10 if args.big else BUILTIN_MAX_ORDER
-        row = census_row(args.n, threads=args.threads, collect_ntu=collect,
-                         max_builtin=max_builtin)
+        row = census_row(args.n, threads=args.threads, collect_ntu=collect)
     if args.csv:
         print("n,cnbtf,ntu,xab")
         print(row.as_csv())
@@ -166,9 +164,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit-ntu", metavar="FILE",
                    help="write non-trivially unstable representatives")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--big", action="store_true",
-                   help="allow built-in generation beyond order "
-                        f"{BUILTIN_MAX_ORDER} (slow)")
     p.set_defaults(func=_cmd_census)
     return parser
 

@@ -1,13 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a pass/fail
 line. Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
-
-The order-8 census row is long-running and opt-in: set COVERSTAB_CENSUS_N8=1.
 """
 
-import os
 import random
-
-import pytest
 
 from coverstab.graph_core import (is_connected, is_bipartite, has_twins,
                                   structural_profile)
@@ -49,10 +44,8 @@ def test_criterion_1_census_table_rows():
             "exact match" if not mismatches else str(mismatches))
 
 
-@pytest.mark.skipif(not os.environ.get("COVERSTAB_CENSUS_N8"),
-                    reason="long-running; set COVERSTAB_CENSUS_N8=1")
 def test_criterion_1b_census_order_8():
-    row = census_row(8, threads=int(os.environ.get("COVERSTAB_THREADS", "1")))
+    row = census_row(8)
     got = (row.count_cnbtf, row.count_ntu, row.count_xab)
     _report("1b", "census counts for order 8", got == (7397, 395, 330), str(got))
 

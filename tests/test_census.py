@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from coverstab.graph_core import (Graph, GraphParseError, parse_graph6,
-                                  write_graph6, induced_subgraph,
+from coverstab.graph_core import (Graph, GraphParseError, SoundnessError,
+                                  parse_graph6, write_graph6, induced_subgraph,
                                   is_connected, is_bipartite, has_twins)
 from coverstab.aut import canonical_form
 from coverstab.cover import stability_report
+from coverstab import census
 from coverstab.census import (KNOWN_GRAPH_COUNTS, CensusRow, census_row,
                               enumerate_graphs, enumerate_graphs_naive,
                               is_xab_realizable, stream_graph6)
@@ -39,7 +40,36 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_graphs(0))
         with pytest.raises(ValueError, match="stream"):
-            list(enumerate_graphs(9))
+            list(enumerate_graphs(10))
+
+    def test_few_children_labelled(self, monkeypatch):
+        # Children are filtered on (degree, sorted neighbour degrees)
+        # before any labelling: 742 calls at order 7, where labelling
+        # every child takes 5966.
+        calls = []
+        real = census.canonical_form
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(census, "canonical_form", counting)
+        assert sum(1 for _ in enumerate_graphs(7)) == KNOWN_GRAPH_COUNTS[7]
+        assert len(calls) <= 1000
+
+    def test_matches_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas = {}
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if n:
+                g = Graph(n, h.edges())
+                atlas.setdefault(n, set()).add(
+                    canonical_form(g).canonical_graph6)
+        for n in range(1, 8):
+            ours = {canonical_form(g).canonical_graph6
+                    for g in enumerate_graphs(n)}
+            assert ours == atlas[n], n
 
 
 class TestStreamGraph6:
@@ -141,6 +171,16 @@ class TestCensusRow:
         par = census_row(6, threads=2, collect_ntu=par_ntu)
         assert seq == par
         assert seq_ntu == par_ntu
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_count_check_raises_after_streaming(self, monkeypatch, threads):
+        # The count check runs after the last graph is yielded; the pool
+        # re-raises it from the generator through Pool.imap.
+        import os
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setitem(KNOWN_GRAPH_COUNTS, 6, 155)
+        with pytest.raises(SoundnessError, match="156 graphs of order 6"):
+            census_row(6, threads=threads)
 
     def test_thread_count_clamped_to_cpus(self, monkeypatch):
         import multiprocessing

@@ -152,6 +152,13 @@ class TestCensus:
         assert code == EXIT_PARSE
         assert not out and "line 2" in err and "non-ASCII" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_order_beyond_builtin_points_to_stream(self, capsys, threads):
+        code, out, err = invoke(capsys, "census", "--n", "10",
+                                "--threads", threads)
+        assert code == EXIT_USAGE
+        assert not out and "--stream" in err
+
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_thread_count_below_one_rejected(self, capsys, threads):
         code, out, err = invoke(capsys, "census", "--n", "4",
