@@ -11,12 +11,11 @@ from .graph_core import (Graph, GraphParseError, DistancePartition,
                          StructuralProfile, parse_graph6, write_graph6,
                          distance_partition, structural_profile,
                          common_neighbors, induced_subgraph)
-from .perms import Permutation, PermGroup, compose, inverse, identity, \
-    group_from_generators
+from .perms import Permutation, compose, inverse, identity
 from .aut import (OrderedPartition, CanonicalForm, refine, canonical_form,
-                  automorphism_group, are_isomorphic, vertex_orbits)
+                  are_isomorphic, vertex_orbits)
 from .cover import (DoubleCover, StabilityReport, double_cover, lift, tau,
-                    expected_subgroup, is_expected, stability_report)
+                    is_expected, stability_report)
 from .criteria import (SrgParams, IntersectionArray, CriterionVerdict,
                        SoundnessError, srg_params, intersection_array,
                        criteria_summary)

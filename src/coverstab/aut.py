@@ -12,9 +12,9 @@ equivalent to explored ones.
 The group order is read off the search tree, as nauty does: when a node on
 the first path has explored all its children, the automorphisms found that
 fix its prefix generate its stabilizer, so |Aut| is the product over the
-first path of the orbit sizes of its individualized vertices. Schreier-Sims
-(``automorphism_group``) serves membership queries and cross-checks that
-order.
+first path of the orbit sizes of its individualized vertices. Vertex
+orbits are the orbits of the generators the search found. Schreier-Sims
+(``automorphism_group``) only cross-checks the order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Iterable, Optional
 
 from .graph_core import (Graph, SoundnessError, graph6_payload,
                          graph6_size_prefix)
-from .perms import Permutation, PermGroup, group_from_generators, orbit_of
+from . import perms
+from .perms import Permutation, orbit_of
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class CanonicalForm:
     relabeling: Permutation
     canonical_graph6: str
     aut_generators: tuple[Permutation, ...]
-    base_sequence: tuple[int, ...]
     aut_order: int
 
 
@@ -308,7 +308,6 @@ def canonical_form(g: Graph,
         relabeling=Permutation(relab),
         canonical_graph6=canon6,
         aut_generators=tuple(Permutation(s) for s in search.gens),
-        base_sequence=tuple(search.zeta_base),
         aut_order=search.order)
     if not colored:
         g._cache["canon"] = cf
@@ -316,11 +315,12 @@ def canonical_form(g: Graph,
 
 
 def automorphism_group(g: Graph,
-                       initial_partition: Optional[OrderedPartition] = None) -> PermGroup:
+                       initial_partition: Optional[OrderedPartition] = None) -> perms.PermGroup:
     """The full edge-preserving permutation group of g (cell-preserving
     subgroup when an initial partition is given).
 
-    Its Schreier-Sims order must equal the order the search reports.
+    The only place the package runs Schreier-Sims: its order must equal
+    the order the search reports, or SoundnessError is raised.
     """
     colored = initial_partition is not None
     if not colored:
@@ -328,8 +328,7 @@ def automorphism_group(g: Graph,
         if cached is not None:
             return cached
     cf = canonical_form(g, initial_partition)
-    grp = group_from_generators(cf.aut_generators, g.n,
-                                base_hint=cf.base_sequence)
+    grp = perms.group_from_generators(cf.aut_generators, g.n)
     if grp.order() != cf.aut_order:
         raise SoundnessError(
             f"Schreier-Sims order {grp.order()} differs from the search's "
@@ -340,8 +339,16 @@ def automorphism_group(g: Graph,
 
 
 def vertex_orbits(g: Graph) -> list[frozenset]:
-    """Orbits of the automorphism group on vertices."""
-    return automorphism_group(g).orbits()
+    """Orbits of the automorphism group on vertices, by smallest element."""
+    gens = [p.images for p in canonical_form(g).aut_generators]
+    orbits = []
+    done: set[int] = set()
+    for x in range(g.n):
+        if x not in done:
+            orbit = orbit_of(gens, x)
+            done |= orbit
+            orbits.append(frozenset(orbit))
+    return orbits
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -18,6 +18,7 @@ exists as the slow reference oracle for cross-validation.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -279,19 +280,14 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
                 yield write_graph6(g)
         lines = checked(source)
     cnbtf = ntu = xab = 0
-    if threads > 1:
-        import multiprocessing
-        with multiprocessing.Pool(threads) as pool:
+    with ExitStack() as stack:
+        if threads > 1:
+            import multiprocessing
+            pool = stack.enter_context(multiprocessing.Pool(threads))
             results = pool.imap(_classify_g6, lines, chunksize=64)
-            for is_cnbtf, is_ntu, is_xab, line in results:
-                cnbtf += is_cnbtf
-                ntu += is_ntu
-                xab += is_xab
-                if is_ntu and collect_ntu is not None:
-                    collect_ntu.append(line)
-    else:
-        for line in lines:
-            is_cnbtf, is_ntu, is_xab, line = _classify_g6(line)
+        else:
+            results = map(_classify_g6, lines)
+        for is_cnbtf, is_ntu, is_xab, line in results:
             cnbtf += is_cnbtf
             ntu += is_ntu
             xab += is_xab

@@ -6,10 +6,11 @@ the fiber {x, x + n}, with x in layer 0 and x + n in layer 1. A graph is
 stable exactly when |Aut(BX)| = 2 |Aut(X)|: the expected subgroup (lifts of
 base automorphisms together with the layer swap) always has order exactly
 2 |Aut(X)|, so order equality means every cover automorphism is expected.
-Both orders come from the canonical-form search, so the decision builds no
-permutation group. The expected automorphisms lift(phi) tau^e are exactly
-the cover automorphisms that map fibers to fibers and all of layer 0 into
-one layer, which is how expectedness is decided for every base.
+Both orders come from the canonical-form search, and no function here
+builds a permutation group. The expected automorphisms lift(phi) tau^e
+are exactly the cover automorphisms that map fibers to fibers and all of
+layer 0 into one layer, which is how ``is_expected`` decides expectedness
+for every base.
 
 For a connected non-bipartite base the cover is connected and bipartite
 with the two layers as its colour classes, so every cover automorphism
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
                          has_twins, bits)
-from .perms import Permutation, PermGroup, group_from_generators
+from .perms import Permutation
 from .aut import OrderedPartition, canonical_form
 
 REASON_DISCONNECTED = "disconnected"
@@ -100,26 +101,6 @@ def tau(d: DoubleCover) -> Permutation:
     """The layer swap (x, i) -> (x, i+1)."""
     n = d.base.n
     return Permutation(tuple(range(n, 2 * n)) + tuple(range(n)))
-
-
-def expected_subgroup(d: DoubleCover) -> PermGroup:
-    """Subgroup of Aut(BX) generated by the layer swap and all lifts.
-
-    Its order is always exactly 2 |Aut(X)|: lifting is faithful and
-    layer-preserving while the swap exchanges layers. Schreier-Sims checks
-    that against twice the order the search reports for the base.
-    """
-    if d.base.n == 0:
-        raise ValueError("expected subgroup is undefined for the empty graph")
-    cf = canonical_form(d.base)
-    gens = [tau(d)]
-    gens.extend(lift(d, phi) for phi in cf.aut_generators)
-    grp = group_from_generators(gens, 2 * d.base.n)
-    if grp.order() != 2 * cf.aut_order:
-        raise SoundnessError(
-            f"expected subgroup has order {grp.order()}, "
-            f"not 2|Aut(X)| = {2 * cf.aut_order}")
-    return grp
 
 
 def is_cover_automorphism(d: DoubleCover, alpha: Permutation) -> bool:

@@ -360,11 +360,11 @@ ALL_CHECKERS = (
 )
 
 
-def criteria_summary(g: Graph, cross_check: bool = True) -> list[CriterionVerdict]:
-    """Run every checker; optionally verify any implied stability against
-    the direct decision, raising SoundnessError on disagreement."""
+def criteria_summary(g: Graph) -> list[CriterionVerdict]:
+    """Run every checker and verify any implied stability against the
+    direct decision, raising SoundnessError on disagreement."""
     verdicts = [check(g) for check in ALL_CHECKERS]
-    if cross_check and any(v.applies and v.implied == "stable" for v in verdicts):
+    if any(v.applies and v.implied == "stable" for v in verdicts):
         report = stability_report(g)
         if not report.stable:
             culprits = [v.criterion for v in verdicts

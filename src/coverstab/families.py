@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
-from .graph_core import Graph, is_bipartite, has_twins
+from .graph_core import MAX_VERTICES, Graph, bits, is_bipartite, has_twins
 from .perms import Permutation
 from .aut import vertex_orbits
 
@@ -36,17 +37,24 @@ def petersen() -> Graph:
 def johnson(n: int, k: int) -> Graph:
     """Graph on the k-subsets of an n-set, adjacent when the subsets share
     k-1 elements. Subsets are numbered in colexicographic order (ascending
-    bitmask), which fixes the vertex numbering."""
+    bitmask), which fixes the vertex numbering. The neighbours of a subset
+    are found by swapping one element out and one element in."""
     if not n >= k >= 1:
         raise ValueError("johnson requires n >= k >= 1")
-    masks = [m for m in range(1 << n) if m.bit_count() == k]
+    if comb(n, k) > MAX_VERTICES:
+        raise ValueError(f"J({n},{k}) has {comb(n, k)} vertices, more than "
+                         f"the supported {MAX_VERTICES}")
+    masks = sorted(sum(1 << x for x in s) for s in combinations(range(n), k))
     index = {m: i for i, m in enumerate(masks)}
-    edges = []
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if (a & b).bit_count() == k - 1:
-                edges.append((i, index[b]))
-    return Graph(len(masks), edges, label=f"J({n},{k})")
+    full = (1 << n) - 1
+    rows = []
+    for a in masks:
+        row = 0
+        for x in bits(a):
+            for y in bits(full & ~a):
+                row |= 1 << index[a ^ (1 << x) ^ (1 << y)]
+        rows.append(row)
+    return Graph.from_rows(rows, label=f"J({n},{k})")
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:

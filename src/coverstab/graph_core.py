@@ -9,7 +9,7 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Largest order encodable with the 3-byte graph6 size prefix.
 MAX_VERTICES = (1 << 18) - 1
@@ -145,7 +145,6 @@ class StructuralProfile:
     """Cheap structure facts consumed by the stability criteria.
 
     ``diameter`` is None for disconnected graphs (infinite).
-    ``vertex_transitive`` is None unless orbit data was supplied.
     """
 
     connected: bool
@@ -154,7 +153,6 @@ class StructuralProfile:
     twin_free: bool
     every_edge_on_triangle: bool
     triangle_free: bool
-    vertex_transitive: Optional[bool] = None
 
 
 # ---------------------------------------------------------------------------
@@ -366,28 +364,16 @@ def triangle_flags(g: Graph) -> tuple[bool, bool]:
     return every_on_triangle, triangle_free
 
 
-def structural_profile(
-        g: Graph,
-        aut_orbits: Optional[Callable[[Graph], Sequence[frozenset]]] = None,
-) -> StructuralProfile:
-    """Bundle of the structural facts the criteria checkers consume.
-
-    ``aut_orbits`` injects the automorphism-orbit computation (it lives in
-    the canonical-labeling engine); without it the vertex_transitive field
-    is left as None and only the cheap fields are computed.
-    """
+def structural_profile(g: Graph) -> StructuralProfile:
+    """Bundle of the structural facts the criteria checkers consume."""
     every_on_triangle, triangle_free = triangle_flags(g)
-    vt: Optional[bool] = None
-    if aut_orbits is not None:
-        vt = len(aut_orbits(g)) <= 1
     return StructuralProfile(
         connected=is_connected(g),
         bipartite=is_bipartite(g),
         diameter=diameter(g),
         twin_free=not has_twins(g),
         every_edge_on_triangle=every_on_triangle,
-        triangle_free=triangle_free,
-        vertex_transitive=vt)
+        triangle_free=triangle_free)
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset:

@@ -1,14 +1,15 @@
 """Permutations on 0..n-1 and finitely generated permutation groups.
 
-Groups carry a base and strong generating set built by a deterministic
-Schreier-Sims construction, giving exact (big-integer) order, orbit and
-membership queries. Composition is left-to-right: compose(p, q) maps x to
-q(p(x)).
+Orbits under a set of generators come from ``orbit_of``. Groups carry a
+base and strong generating set built by a deterministic Schreier-Sims
+construction, giving exact (big-integer) order and membership queries; in
+the package, only ``aut.automorphism_group`` builds one, to cross-check
+the order the canonical-form search reports. Composition is left-to-right:
+compose(p, q) maps x to q(p(x)).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional, Sequence
 
 
@@ -42,14 +43,6 @@ class Permutation:
                 step[cyc[-1]] = cyc[0]
             images = [step[x] for x in images]
         return cls(images)
-
-    @classmethod
-    def parse(cls, text: str) -> "Permutation":
-        """Inverse of str(): a one-line JSON image list like "[1,0,2]"."""
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON list of images")
-        return cls(data)
 
     @property
     def degree(self) -> int:
@@ -220,8 +213,7 @@ class PermGroup:
     stored as Schreier vectors with memoized expansion.
     """
 
-    def __init__(self, generators: Iterable[Permutation], degree: int,
-                 base_hint: Optional[Sequence[int]] = None):
+    def __init__(self, generators: Iterable[Permutation], degree: int):
         gens = []
         for p in generators:
             if p.degree != degree:
@@ -231,11 +223,9 @@ class PermGroup:
                 gens.append(p)
         self.degree = degree
         self.generators = tuple(gens)
-        self._base: list[int] = []
         self._levels: list[_Level] = []
         self._order: Optional[int] = None
-        self._build([g.images for g in gens],
-                    tuple(base_hint) if base_hint else ())
+        self._build([g.images for g in gens])
 
     # -- construction -------------------------------------------------
 
@@ -250,16 +240,11 @@ class PermGroup:
                 p = _mul(p, lev.rep_inv(b))
         return p, len(self._levels)
 
-    def _append_level_for(self, p: tuple, hint: tuple) -> None:
-        """New base point: first hinted point moved by p, else first moved."""
-        for b in hint:
-            if b not in self._base and p[b] != b:
-                self._base.append(b)
-                self._levels.append(_Level(b))
-                return
+    def _append_level_for(self, p: tuple) -> None:
+        """New base point: the first point moved by p, a sifted residue that
+        fixes every base point so far."""
         for b, img in enumerate(p):
-            if img != b and b not in self._base:
-                self._base.append(b)
+            if img != b:
                 self._levels.append(_Level(b))
                 return
         raise AssertionError("identity reached _append_level_for")
@@ -270,22 +255,15 @@ class PermGroup:
             self._levels[k].gens.append(p)
             self._levels[k].rebuild_orbit()
 
-    def _build(self, raw_gens: list[tuple], hint: tuple) -> None:
+    def _build(self, raw_gens: list[tuple]) -> None:
         if not raw_gens:
             self._order = 1
             return
-        for b in hint:
-            # Pre-seed the base so it starts with the hinted points (the
-            # canonical search's individualization order); redundant points
-            # only add unit orbits.
-            if b not in self._base:
-                self._base.append(b)
-                self._levels.append(_Level(b))
         for p in raw_gens:
             residue, j = self._strip(p)
             if any(x != i for i, x in enumerate(residue)):
                 if j == len(self._levels):
-                    self._append_level_for(residue, hint)
+                    self._append_level_for(residue)
                 self._install(j, residue)
         # Deterministic Schreier-Sims: verify levels bottom-up, descending
         # again whenever a new strong generator appears.
@@ -301,7 +279,7 @@ class PermGroup:
                     residue, j = self._strip(schreier, i + 1)
                     if any(x != k for k, x in enumerate(residue)):
                         if j == len(self._levels):
-                            self._append_level_for(residue, hint)
+                            self._append_level_for(residue)
                             j = len(self._levels) - 1
                         for k in range(i + 1, j + 1):
                             self._levels[k].gens.append(residue)
@@ -320,10 +298,6 @@ class PermGroup:
 
     # -- queries --------------------------------------------------------
 
-    @property
-    def base(self) -> tuple[int, ...]:
-        return tuple(self._base)
-
     def order(self) -> int:
         return self._order
 
@@ -334,36 +308,11 @@ class PermGroup:
         residue, _ = self._strip(p.images)
         return all(x == i for i, x in enumerate(residue))
 
-    def __contains__(self, p: Permutation) -> bool:
-        return self.contains(p)
-
-    def orbit(self, x: int) -> frozenset:
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} out of range")
-        return frozenset(orbit_of([g.images for g in self.generators], x))
-
-    def orbits(self) -> list[frozenset]:
-        """All vertex orbits, ordered by smallest element."""
-        out = []
-        done = set()
-        for x in range(self.degree):
-            if x not in done:
-                orb = self.orbit(x)
-                done |= orb
-                out.append(orb)
-        return out
-
-    def is_transitive(self) -> bool:
-        if self.degree == 0:
-            return True
-        return len(self.orbit(0)) == self.degree
-
     def __repr__(self) -> str:
         return (f"PermGroup(degree={self.degree}, order={self._order}, "
                 f"ngens={len(self.generators)})")
 
 
-def group_from_generators(gens: Iterable[Permutation], n: int,
-                          base_hint: Optional[Sequence[int]] = None) -> PermGroup:
+def group_from_generators(gens: Iterable[Permutation], n: int) -> PermGroup:
     """Construct a PermGroup with exact order/membership oracles."""
-    return PermGroup(gens, n, base_hint=base_hint)
+    return PermGroup(gens, n)

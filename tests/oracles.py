@@ -2,12 +2,17 @@
 
 Everything here is deliberately naive and separate from the package's code
 paths: string-based graph6 encoding, literal permutation filtering,
-breadth-first closures, textbook distance matrices.
+breadth-first closures, textbook distance matrices. The one exception is
+``expected_group``: membership in the expected group comes from the
+package's Schreier-Sims, which no decision path uses.
 """
 
 from itertools import permutations
 
 from coverstab.graph_core import Graph
+from coverstab.aut import canonical_form
+from coverstab.cover import lift, tau
+from coverstab.perms import group_from_generators
 
 
 def ref_encode_graph6(n, edges):
@@ -27,6 +32,15 @@ def ref_encode_graph6(n, edges):
     for i in range(0, len(bitstring), 6):
         out.append(chr(int(bitstring[i:i + 6], 2) + 63))
     return "".join(out)
+
+
+def naive_johnson(n, k):
+    """J(n, k) by scanning every subset of the n-set and comparing every
+    pair of k-subsets; vertices numbered by ascending bitmask."""
+    masks = [m for m in range(1 << n) if bin(m).count("1") == k]
+    edges = [(i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
+             if i < j and bin(a & b).count("1") == k - 1]
+    return Graph(len(masks), edges)
 
 
 def brute_force_automorphisms(g):
@@ -116,6 +130,17 @@ def backtrack_aut_count(g):
 
     dfs(0)
     return count
+
+
+def expected_group(d):
+    """Schreier-Sims group of the layer swap and the lifts of Aut(X)'s
+    generators on the cover d: the reference for expected-automorphism
+    membership. Its order must be 2|Aut(X)|."""
+    cf = canonical_form(d.base)
+    gens = [tau(d)] + [lift(d, phi) for phi in cf.aut_generators]
+    grp = group_from_generators(gens, 2 * d.base.n)
+    assert grp.order() == 2 * cf.aut_order
+    return grp
 
 
 def naive_closure(gens, n):

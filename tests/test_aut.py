@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coverstab import aut
+from coverstab import perms
 from coverstab.graph_core import Graph, SoundnessError, parse_graph6
 from coverstab.perms import group_from_generators
 from coverstab.aut import (OrderedPartition, refine, canonical_form,
@@ -10,8 +10,9 @@ from coverstab.aut import (OrderedPartition, refine, canonical_form,
 from coverstab.cover import double_cover
 from coverstab.families import complete_graph, cycle, petersen, johnson
 
-from oracles import (brute_force_aut_count, backtrack_aut_count,
-                     naive_closure, complement, line_graph, random_graph)
+from oracles import (brute_force_aut_count, brute_force_automorphisms,
+                     backtrack_aut_count, naive_closure, complement,
+                     line_graph, random_graph)
 
 
 class TestRefine:
@@ -106,9 +107,8 @@ class TestAutomorphismGroup:
         # generates a proper subgroup, so Schreier-Sims on it alone must
         # contradict the order the search reports
         real = group_from_generators
-        monkeypatch.setattr(aut, "group_from_generators",
-                            lambda gens, n, base_hint=None: real(
-                                gens[:1], n, base_hint=base_hint))
+        monkeypatch.setattr(perms, "group_from_generators",
+                            lambda gens, n: real(gens[:1], n))
         assert len(canonical_form(cycle(5)).aut_generators) > 1
         with pytest.raises(SoundnessError, match="differs"):
             automorphism_group(cycle(5))
@@ -134,11 +134,17 @@ class TestAutomorphismGroup:
                         if gens else 1)
             assert cf.aut_order == expected
 
-    def test_vertex_orbits_partition(self):
+    def test_vertex_orbits_partition(self, graphs_by_order):
         orbits = vertex_orbits(petersen())
         assert len(orbits) == 1
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert sorted(len(o) for o in vertex_orbits(star)) == [1, 3]
+        assert vertex_orbits(star) == [frozenset({0}), frozenset({1, 2, 3})]
+        # the orbits of brute-forced automorphisms are the reference
+        for g in graphs_by_order[5]:
+            auts = brute_force_automorphisms(g)
+            expected = {frozenset(p[x] for p in auts) for x in range(g.n)}
+            assert sorted(map(sorted, vertex_orbits(g))) == sorted(
+                map(sorted, expected))
 
 
 class TestCanonicalForm:

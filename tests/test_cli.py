@@ -10,7 +10,7 @@ import pytest
 
 from coverstab.graph_core import parse_graph6, write_graph6
 from coverstab.aut import are_isomorphic
-from coverstab.families import cycle, johnson
+from coverstab.families import complete_graph, cycle, johnson
 from coverstab.cli import run, EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_SOUNDNESS
 
 
@@ -18,6 +18,14 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src if not path else src + os.pathsep + path}
 
 
 class TestAnalyze:
@@ -99,6 +107,22 @@ class TestFamily:
     def test_johnson_domain_error(self, capsys):
         code, _, err = invoke(capsys, "family", "johnson", "--n", "2", "--k", "5")
         assert code == EXIT_USAGE and "error" in err
+
+    @pytest.mark.parametrize("k, code", [(1, EXIT_OK), (20, EXIT_USAGE)])
+    def test_johnson_on_forty_points(self, k, code):
+        # J(40, k) has C(40, k) vertices, so neither call may walk the 2^40
+        # subsets: J(40, 1) = K40 comes back at once, and J(40, 20), with
+        # more vertices than graph6 can encode, is refused up front (run in
+        # a subprocess so that a slow build fails on the timeout)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverstab.cli", "family", "johnson",
+             "--n", "40", "--k", str(k)], env=subprocess_env(),
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == code, proc.stderr
+        if code == EXIT_OK:
+            assert parse_graph6(proc.stdout.strip()) == complete_graph(40)
+        else:
+            assert not proc.stdout and "vertices" in proc.stderr
 
 
 class TestCensus:
@@ -198,10 +222,9 @@ FORCED_FAILURES = {
             dataclasses.replace(real(g, p), aut_order=3) if g.n == 6
             else real(g, p))
         """, ["analyze", "Bw"]),
-    "expected subgroup of the wrong order": ("""
-        cover.group_from_generators = lambda gens, n: Order(5)
-        cli.stability_report = lambda g: cover.expected_subgroup(
-            cover.double_cover(g))
+    "Schreier-Sims order off the search order": ("""
+        perms.group_from_generators = lambda gens, n: Order(5)
+        cli.stability_report = lambda g: aut.automorphism_group(g)
         """, ["analyze", "Bw"]),
     "census graph escaping its classification": ("""
         real = census.stability_report
@@ -220,7 +243,7 @@ def test_soundness_checks_survive_optimize(case):
     script = textwrap.dedent("""
         import dataclasses
         import sys
-        from coverstab import census, cli, cover
+        from coverstab import aut, census, cli, cover, perms
 
         class Order:
             def __init__(self, value):
@@ -231,11 +254,8 @@ def test_soundness_checks_survive_optimize(case):
         """) + textwrap.dedent(setup) + textwrap.dedent(f"""
         sys.exit(cli.run({argv!r}) if sys.flags.optimize else 99)
         """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src if not path else src + os.pathsep + path}
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=subprocess_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_SOUNDNESS, proc.stderr
     assert "soundness inconsistency" in proc.stderr

@@ -241,7 +241,7 @@ class TestCriteriaSummary:
 
     def test_lex_product_no_criterion(self):
         g = lex_product(cycle(8), cycle(6))
-        verdicts = criteria_summary(g, cross_check=False)
+        verdicts = criteria_summary(g)
         assert not any(v.applies and v.implied == "stable" for v in verdicts)
         assert stability_report(g).classification == "nontrivially_unstable"
 
