@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph_core import (Graph, SoundnessError, bits, diameter,
-                         distance_table, is_connected, is_bipartite,
+                         distance_layers, is_connected, is_bipartite,
                          has_twins, triangle_flags)
 from .cover import stability_report
 
@@ -71,81 +71,42 @@ class CriterionVerdict:
 def srg_params(g: Graph) -> Optional[SrgParams]:
     """Strongly regular parameters, or None if the uniformity fails.
 
-    Requires connected, regular, diameter exactly 2 (so complete graphs
-    never qualify); every non-adjacent pair must then be at distance 2,
-    making mu positive automatically.
+    The strongly regular graphs are the distance-regular graphs of
+    diameter 2 (so complete graphs never qualify), with lambda = a_1 =
+    k - b_1 - 1 and mu = c_2.
     """
-    n = g.n
-    if n < 3 or not is_connected(g):
+    arr = intersection_array(g)
+    if arr is None or arr.d != 2:
         return None
-    adj = g.adj
-    k = adj[0].bit_count()
-    if any(row.bit_count() != k for row in adj):
-        return None
-    lam = mu = -1
-    diam = 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = (adj[u] & adj[v]).bit_count()
-            if (adj[u] >> v) & 1:
-                if lam < 0:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                diam = 2
-                if common == 0:
-                    return None  # distance > 2
-                if mu < 0:
-                    mu = common
-                elif mu != common:
-                    return None
-    if diam != 2 or mu <= 0:
-        return None
-    return SrgParams(n=n, k=k, lambda_=lam, mu=mu)
+    k, b1 = arr.b
+    return SrgParams(n=g.n, k=k, lambda_=k - b1 - 1, mu=arr.c[1])
 
 
 def intersection_array(g: Graph) -> Optional[IntersectionArray]:
-    """Distance-regular parameters by exhaustive per-pair counting."""
-    n = g.n
-    if n == 0 or not is_connected(g):
+    """Distance-regular parameters: from every vertex x, each vertex of
+    layer j around x has b_j neighbours in layer j + 1 and c_j in layer
+    j - 1. None if some count varies within a layer or between vertices."""
+    if g.n == 0 or not is_connected(g):
         return None
     adj = g.adj
-    k = adj[0].bit_count()
-    if any(row.bit_count() != k for row in adj):
-        return None
-    dist = distance_table(g)
-    d = max(max(row) for row in dist)
-    if d == 0:
-        return None
-    b = [-1] * d     # b_0 .. b_{d-1}
-    c = [-1] * (d + 1)  # c_1 .. c_d, stored at 1..d
-    b.append(0)      # sentinel b_d = 0
-    for x in range(n):
-        dx = dist[x]
-        for y in range(n):
-            j = dx[y]
-            if j == 0:
-                continue
-            higher = lower = 0
-            for z in bits(adj[y]):
-                if dx[z] == j + 1:
-                    higher += 1
-                elif dx[z] == j - 1:
-                    lower += 1
-            if j < d:
-                if b[j] < 0:
-                    b[j] = higher
-                elif b[j] != higher:
-                    return None
-            elif higher:
+    found = None
+    for x in range(g.n):
+        shells = (0,) + distance_layers(g, x) + (0,)
+        b, c = [], []
+        for j in range(1, len(shells) - 1):
+            ys = list(bits(shells[j]))
+            up = {(adj[y] & shells[j + 1]).bit_count() for y in ys}
+            down = {(adj[y] & shells[j - 1]).bit_count() for y in ys}
+            if len(up) > 1 or len(down) > 1:
                 return None
-            if c[j] < 0:
-                c[j] = lower
-            elif c[j] != lower:
-                return None
-    b[0] = k
-    return IntersectionArray(b=tuple(b[:d]), c=tuple(c[1:]))
+            b.append(up.pop())
+            c.append(down.pop())
+        if found not in (None, (b[:-1], c[1:])):
+            return None
+        found = (b[:-1], c[1:])
+    if not found[0]:
+        return None  # a single vertex
+    return IntersectionArray(b=tuple(found[0]), c=tuple(found[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +131,17 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
         return CriterionVerdict(crit, False, tuple(failed))
     if not triangle_flags(g)[0]:
         failed.append("an edge lies on no triangle")
-    for x, dist in enumerate(distance_table(g)):
-        shell2 = [v for v, dv in enumerate(dist) if dv == 2]
+    adj = g.adj
+    for x in range(g.n):
+        shell2, shell3, shell4 = (distance_layers(g, x) + (0, 0, 0))[2:5]
         if not shell2:
             failed.append(f"second shell of vertex {x} is empty")
             break
-        adj = g.adj
-        ok2 = all(any(dist[u] == 3 for u in bits(adj[v])) for v in shell2)
-        if not ok2:
+        if not all(adj[v] & shell3 for v in bits(shell2)):
             failed.append(
                 f"a distance-2 vertex from {x} has no neighbour at distance 3")
             break
-        shell3 = [v for v, dv in enumerate(dist) if dv == 3]
-        ok3 = all(any(dist[u] == 4 for u in bits(adj[v])) for v in shell3)
-        if not ok3:
+        if not all(adj[v] & shell4 for v in bits(shell3)):
             failed.append(
                 f"a distance-3 vertex from {x} has no neighbour at distance 4")
             break
@@ -192,12 +150,12 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
     return CriterionVerdict(crit, True, (), "stable")
 
 
-def check_distance_regular(g: Graph) -> tuple[CriterionVerdict, Optional[IntersectionArray]]:
+def check_distance_regular(g: Graph) -> CriterionVerdict:
     """Distance-regular specialization: d >= 4, b0 > b1 + 1, b2, b3 >= 1."""
     crit = "distance-regular-growth"
     arr = intersection_array(g)
     if arr is None:
-        return (CriterionVerdict(crit, False, ("not distance-regular",)), None)
+        return CriterionVerdict(crit, False, ("not distance-regular",))
     failed = []
     if arr.d < 4:
         failed.append(f"diameter {arr.d} < 4")
@@ -208,14 +166,15 @@ def check_distance_regular(g: Graph) -> tuple[CriterionVerdict, Optional[Interse
     if arr.d >= 4 and arr.b[3] < 1:
         failed.append("b3 = 0")
     if failed:
-        return (CriterionVerdict(crit, False, tuple(failed)), arr)
-    return (CriterionVerdict(crit, True, (), "stable"), arr)
+        return CriterionVerdict(crit, False, tuple(failed))
+    return CriterionVerdict(crit, True, (), "stable")
 
 
 def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
     """Stability from separated common-neighbour counts: twin-free, every
     edge on a triangle, and no adjacent pair shares its common-neighbour
-    count with any distance-2 pair."""
+    count with any distance-2 pair, i.e. any non-adjacent pair with a
+    common neighbour."""
     crit = "common-neighbor-separation"
     failed = []
     if g.n < 2:
@@ -233,12 +192,13 @@ def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
     adj = g.adj
     adjacent_counts = set()
     distance2_counts = set()
-    for u, du in enumerate(distance_table(g)):
+    for u in range(g.n):
         for v in range(u + 1, g.n):
-            if du[v] == 1:
-                adjacent_counts.add((adj[u] & adj[v]).bit_count())
-            elif du[v] == 2:
-                distance2_counts.add((adj[u] & adj[v]).bit_count())
+            common = (adj[u] & adj[v]).bit_count()
+            if (adj[u] >> v) & 1:
+                adjacent_counts.add(common)
+            elif common:
+                distance2_counts.add(common)
     overlap = adjacent_counts & distance2_counts
     if overlap:
         return CriterionVerdict(
@@ -310,12 +270,9 @@ def second_shell_split(g: Graph, x: int) -> tuple[frozenset, frozenset]:
     first part is never empty (otherwise the shell plus neighbourhood
     structure would 2-color the graph); the suite asserts this.
     """
-    shell = [v for v, d in enumerate(distance_table(g)[x]) if d == 2]
-    shell_bits = 0
-    for v in shell:
-        shell_bits |= 1 << v
-    inner = frozenset(v for v in shell if g.adj[v] & shell_bits)
-    return inner, frozenset(shell) - inner
+    shell = (distance_layers(g, x) + (0, 0))[2]
+    inner = frozenset(v for v in bits(shell) if g.adj[v] & shell)
+    return inner, frozenset(bits(shell)) - inner
 
 
 def check_srg_triangle_free(g: Graph) -> CriterionVerdict:
@@ -351,7 +308,7 @@ def check_srg_instability_constraint(g: Graph) -> CriterionVerdict:
 
 ALL_CHECKERS = (
     check_triangle_distance_growth,
-    lambda g: check_distance_regular(g)[0],
+    check_distance_regular,
     check_common_neighbor_separation,
     check_srg_distinct_counts,
     check_triangle_free_diam2,

@@ -15,6 +15,13 @@ from .perms import Permutation
 from .aut import vertex_orbits
 
 
+def _check_order(n: int, name: str) -> None:
+    """Refuse a construction with too many vertices before building it."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{name} has {n} vertices, more than the "
+                         f"supported {MAX_VERTICES}")
+
+
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
@@ -41,9 +48,7 @@ def johnson(n: int, k: int) -> Graph:
     are found by swapping one element out and one element in."""
     if not n >= k >= 1:
         raise ValueError("johnson requires n >= k >= 1")
-    if comb(n, k) > MAX_VERTICES:
-        raise ValueError(f"J({n},{k}) has {comb(n, k)} vertices, more than "
-                         f"the supported {MAX_VERTICES}")
+    _check_order(comb(n, k), f"J({n},{k})")
     masks = sorted(sum(1 << x for x in s) for s in combinations(range(n), k))
     index = {m: i for i, m in enumerate(masks)}
     full = (1 << n) - 1
@@ -62,6 +67,7 @@ def lex_product(g: Graph, h: Graph) -> Graph:
     v1 ~ v2; vertex (u, v) is numbered u*|V(h)| + v."""
     if g.n == 0 or h.n == 0:
         raise ValueError("lex_product requires non-empty factors")
+    _check_order(g.n * h.n, "the lexicographic product")
     nh = h.n
     rows = [0] * (g.n * nh)
     full = (1 << nh) - 1
@@ -84,6 +90,7 @@ def lexcycle(m: int, h: Graph) -> Graph:
     by the stability report (it is for hexagon or cube second factors, but
     not for a single edge).
     """
+    _check_order(m * h.n, f"C{m}[H]")
     problems = []
     if m < 8:
         problems.append(f"m = {m} < 8")

@@ -43,8 +43,8 @@ class Graph:
     ``adj[v]`` is the neighbourhood of v as a bitset. Instances hash and
     compare by (n, adj) and are safe to share across threads; the private
     ``_cache`` slot memoizes derived data (canonical form, automorphism
-    group, stability report, distance table) without affecting value
-    semantics.
+    group, stability report, the BFS layer table of ``distance_layers``)
+    without affecting value semantics.
     """
 
     __slots__ = ("n", "adj", "label", "_cache")
@@ -142,7 +142,8 @@ class DistancePartition:
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    """Cheap structure facts consumed by the stability criteria.
+    """Cheap structure facts of one graph, bundled for callers of the
+    library; the criteria checkers test their hypotheses directly.
 
     ``diameter`` is None for disconnected graphs (infinite).
     """
@@ -254,77 +255,68 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # metric / structural predicates
 
+def bfs_layers(g: Graph, x: int) -> tuple[int, ...]:
+    """BFS layers around x as bitsets: layer i holds the vertices at
+    distance i, and the vertices in no layer are unreachable. Each frontier
+    is the OR of its predecessor's adjacency rows minus what was reached."""
+    adj = g.adj
+    frontier = reached = 1 << x
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return tuple(layers)
+
+
+def distance_layers(g: Graph, x: int) -> tuple[int, ...]:
+    """``bfs_layers(g, x)``, memoized per graph: every distance fact of the
+    graph is read from this one table, so each vertex is searched once."""
+    table = g._cache.get("layers")
+    if table is None:
+        table = g._cache["layers"] = [None] * g.n
+    if table[x] is None:
+        table[x] = bfs_layers(g, x)
+    return table[x]
+
+
 def bfs_distances(g: Graph, x: int) -> list[int]:
     """Distances from x to every vertex; -1 for unreachable."""
     dist = [-1] * g.n
-    dist[x] = 0
-    frontier = [x]
-    adj = g.adj
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in bits(adj[v]):
-                if dist[u] < 0:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
+    for d, layer in enumerate(distance_layers(g, x)):
+        for v in bits(layer):
+            dist[v] = d
     return dist
-
-
-def distance_table(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All-pairs distances: row x is bfs_distances(g, x), -1 for
-    unreachable. Memoized per graph."""
-    table = g._cache.get("distances")
-    if table is None:
-        table = tuple(tuple(bfs_distances(g, x)) for x in range(g.n))
-        g._cache["distances"] = table
-    return table
 
 
 def distance_partition(g: Graph, x: int) -> DistancePartition:
     """BFS layers X_0(x), X_1(x), ... plus the unreachable remainder."""
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
-    dist = bfs_distances(g, x)
-    ecc = max(dist)
-    layers = [[] for _ in range(ecc + 1)]
-    unreachable = []
-    for v, d in enumerate(dist):
-        if d < 0:
-            unreachable.append(v)
-        else:
-            layers[d].append(v)
+    shells = distance_layers(g, x)
     return DistancePartition(
         source=x,
-        layers=tuple(frozenset(layer) for layer in layers),
-        unreachable=frozenset(unreachable))
+        layers=tuple(frozenset(bits(layer)) for layer in shells),
+        unreachable=frozenset(bits((1 << g.n) - 1 - sum(shells))))
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return bfs_distances(g, 0).count(-1) == 0
+    """The layers around vertex 0 cover every vertex."""
+    return g.n == 0 or sum(distance_layers(g, 0)) == (1 << g.n) - 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    """2-colorability, checked component by component."""
-    color = [-1] * g.n
-    adj = g.adj
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in bits(adj[v]):
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
+    """No component has an edge inside one of its BFS layers: such an edge
+    closes an odd cycle, and without one the layer parity 2-colours it."""
+    unseen = (1 << g.n) - 1
+    while unseen:
+        for layer in distance_layers(g, (unseen & -unseen).bit_length() - 1):
+            unseen ^= layer
+            if any(g.adj[v] & layer for v in bits(layer)):
+                return False
     return True
 
 
@@ -340,11 +332,9 @@ def has_twins(g: Graph) -> bool:
 
 def diameter(g: Graph) -> Optional[int]:
     """Max eccentricity, or None (infinite) when disconnected."""
-    if g.n == 0:
-        return 0
     if not is_connected(g):
         return None
-    return max(max(row) for row in distance_table(g))
+    return max((len(distance_layers(g, x)) - 1 for x in range(g.n)), default=0)
 
 
 def triangle_flags(g: Graph) -> tuple[bool, bool]:
@@ -365,7 +355,8 @@ def triangle_flags(g: Graph) -> tuple[bool, bool]:
 
 
 def structural_profile(g: Graph) -> StructuralProfile:
-    """Bundle of the structural facts the criteria checkers consume."""
+    """The structural facts of g in one record, for library callers; the
+    criteria checkers test their hypotheses themselves."""
     every_on_triangle, triangle_free = triangle_flags(g)
     return StructuralProfile(
         connected=is_connected(g),

@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from coverstab.graph_core import Graph
 from coverstab.census import enumerate_graphs
@@ -37,3 +32,11 @@ def shrikhande():
                 if u < v:
                     edges.append((u, v))
     return Graph(16, edges)
+
+
+@pytest.fixture(scope="session")
+def clebsch():
+    """The Clebsch graph, a (16,5,0,2) strongly regular graph: the 4-bit
+    words, adjacent when they differ in one bit or in all four."""
+    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if (u ^ v).bit_count() in (1, 4)])

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -123,6 +124,21 @@ class TestFamily:
             assert parse_graph6(proc.stdout.strip()) == complete_graph(40)
         else:
             assert not proc.stdout and "vertices" in proc.stderr
+
+    def test_lexcycle_too_large_is_refused_before_building(self):
+        # C50000[EhEG] has 300000 vertices; its rows alone would take
+        # gigabytes, so the order must be refused before any is built.
+        # The address-space limit makes a regression fail fast.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverstab.cli", "family", "lexcycle",
+             "--m", "50000", "--h", "EhEG"], env=subprocess_env(),
+            capture_output=True, text=True, timeout=30,
+            preexec_fn=limit_memory)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert not proc.stdout and "300000" in proc.stderr
 
 
 class TestCensus:

@@ -37,18 +37,29 @@ class TestSrgParams:
         assert srg_params(johnson(6, 3)) is None  # diameter 3
 
     def test_definition_exhaustively(self, graphs_by_order):
-        # against the definitional count on every 6-vertex graph
-        for g in graphs_by_order[6]:
-            p = srg_params(g)
-            if p is None:
-                continue
-            assert is_connected(g)
-            for u in range(g.n):
-                assert g.degree(u) == p.k
-                for v in range(u + 1, g.n):
-                    common = (g.adj[u] & g.adj[v]).bit_count()
-                    expected = p.lambda_ if g.has_edge(u, v) else p.mu
-                    assert common == expected
+        # both ways against the definition, by pair counts, on every graph
+        # of order <= 7: connected of diameter 2 means some pair is
+        # non-adjacent and every non-adjacent pair has a common neighbour
+        found = []
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                degrees = {g.degree(v) for v in range(g.n)}
+                lam, mu = set(), set()
+                for u in range(g.n):
+                    for v in range(u + 1, g.n):
+                        common = (g.adj[u] & g.adj[v]).bit_count()
+                        (lam if g.has_edge(u, v) else mu).add(common)
+                strongly_regular = (len(degrees) == 1 and len(lam) == 1
+                                    and len(mu) == 1 and 0 not in mu)
+                p = srg_params(g)
+                assert (p is not None) == strongly_regular, g
+                if p is not None:
+                    assert p == SrgParams(g.n, degrees.pop(), lam.pop(),
+                                          mu.pop())
+                    found.append(p.as_tuple())
+        # C4, C5, K3,3 and the octahedron K2,2,2
+        assert sorted(found) == [(4, 2, 0, 2), (5, 2, 0, 1), (6, 3, 0, 3),
+                                 (6, 4, 2, 4)]
 
     def test_twin_free_iff_k_gt_mu(self, graphs_by_order):
         for g in graphs_by_order[6] + graphs_by_order[7][::5]:
@@ -77,13 +88,12 @@ class TestIntersectionArray:
     def test_not_distance_regular(self):
         assert intersection_array(Graph(4, [(0, 1), (1, 2), (2, 3)])) is None
         # regular but not distance-regular: two triangles joined by a
-        # perfect matching is vertex-transitive, 3-regular, not DR
+        # perfect matching is vertex-transitive and 3-regular
         prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                           (0, 3), (1, 4), (2, 5)])
-        arr = intersection_array(prism)
-        if arr is not None:
-            # the prism actually is distance-regular; use a genuine one
-            pass
+        # lambda is 1 on the triangle edges and 0 on the matching edges
+        assert intersection_array(prism) is None
+        assert srg_params(prism) is None
         non_dr = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
         assert intersection_array(non_dr) is None
 
@@ -135,16 +145,16 @@ class TestTriangleDistanceGrowth:
 
 class TestDistanceRegularGrowth:
     def test_petersen_diameter_too_small(self):
-        v, arr = check_distance_regular(petersen())
-        assert not v.applies and arr == IntersectionArray((3, 2), (1, 1))
+        v = check_distance_regular(petersen())
+        assert not v.applies and "diameter 2 < 4" in v.failed_hypotheses
 
     def test_cycle_no_triangles(self):
-        v, arr = check_distance_regular(cycle(9))
+        v = check_distance_regular(cycle(9))
         assert not v.applies
         assert any("b0" in h or "diameter" in h for h in v.failed_hypotheses)
 
     def test_johnson_applies(self):
-        v, _ = check_distance_regular(johnson(9, 4))
+        v = check_distance_regular(johnson(9, 4))
         assert v.applies and v.implied == "stable"
 
 
@@ -174,6 +184,15 @@ class TestSrgCheckers:
         for g in graphs_by_order[6] + graphs_by_order[7][::7]:
             if check_srg_distinct_counts(g).applies:
                 assert check_common_neighbor_separation(g).applies
+
+    def test_triangle_free_srg_implies_triangle_free_diam2(
+            self, graphs_by_order, clebsch):
+        corpus = [g for n in range(1, 8) for g in graphs_by_order[n]]
+        corpus += [petersen(), clebsch]
+        applying = [g for g in corpus if check_srg_triangle_free(g).applies]
+        assert petersen() in applying and clebsch in applying
+        for g in applying:
+            assert check_triangle_free_diam2(g).applies
 
     def test_triangle_free_srg(self):
         assert check_srg_triangle_free(petersen()).applies
@@ -292,12 +311,12 @@ class TestSharedDistanceTable:
         lambda: random_graph(random.Random(40), 40, 0.5),
     ], ids=["Petersen", "G(40,1/2)"])
     def test_one_bfs_per_vertex(self, make, monkeypatch):
-        # every checker reads one all-pairs table; the only other BFS runs
-        # are the single-source is_connected calls, fewer than ten
+        # every checker reads one memoized table of BFS layers, so each
+        # vertex is searched at most once
         g = make()
         assert is_connected(g)
         calls = []
-        real = graph_core.bfs_distances
+        real = graph_core.bfs_layers
 
         def counting(h, x):
             calls.append(x)
@@ -305,8 +324,8 @@ class TestSharedDistanceTable:
 
         for name, module in list(sys.modules.items()):
             if (name.split(".")[0] == "coverstab"
-                    and getattr(module, "bfs_distances", None) is real):
-                monkeypatch.setattr(module, "bfs_distances", counting)
+                    and getattr(module, "bfs_layers", None) is real):
+                monkeypatch.setattr(module, "bfs_layers", counting)
         criteria_summary(g)
         assert len(calls) <= g.n + 10
 

@@ -7,7 +7,7 @@ from coverstab.graph_core import (Graph, GraphParseError, parse_graph6,
                                   write_graph6, distance_partition,
                                   structural_profile, common_neighbors,
                                   induced_subgraph, has_twins, diameter,
-                                  is_connected, is_bipartite)
+                                  is_connected, is_bipartite, bfs_distances)
 from coverstab.families import complete_graph, cycle, petersen, johnson
 from coverstab.aut import vertex_orbits
 
@@ -227,3 +227,42 @@ def test_connectivity_and_bipartite_basics():
     assert is_connected(k(1)) and is_connected(cycle(4))
     assert not is_connected(Graph(2))
     assert is_bipartite(cycle(6)) and not is_bipartite(cycle(5))
+
+
+class TestTraversalAgainstNetworkx:
+    @staticmethod
+    def to_nx(nx, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    def test_random_graphs_with_several_components(self):
+        # disjoint unions of random pieces, isolated vertices included, on
+        # 1..14 vertices in total, renumbered so components interleave
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2718)
+        for _ in range(300):
+            n = rng.randrange(1, 15)
+            edges, start = [], 0
+            while start < n:
+                size = rng.randrange(1, n - start + 1)
+                piece = random_graph(rng, size, rng.choice([0.2, 0.4, 0.7]))
+                edges += [(start + u, start + v) for u, v in piece.edges()]
+                start += size
+            images = list(range(n))
+            rng.shuffle(images)
+            g = Graph(n, [(images[u], images[v]) for u, v in edges])
+            h = self.to_nx(nx, g)
+            assert is_connected(g) == nx.is_connected(h)
+            assert is_bipartite(g) == nx.is_bipartite(h)
+            for x in range(n):
+                lengths = nx.single_source_shortest_path_length(h, x)
+                assert bfs_distances(g, x) == [lengths.get(v, -1)
+                                               for v in range(n)]
+
+    def test_bipartite_on_every_small_graph(self, graphs_by_order):
+        nx = pytest.importorskip("networkx")
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                assert is_bipartite(g) == nx.is_bipartite(self.to_nx(nx, g))
