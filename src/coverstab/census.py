@@ -133,7 +133,7 @@ def _augment(parent: Graph) -> Iterator[Graph]:
         candidates = _deletion_candidates(rows)
         if not candidates:
             continue
-        child = Graph.from_rows(rows)
+        child = Graph._unchecked(rows)
         if len(candidates) > 1:
             ccf = canonical_form(child)
             kappa = max(candidates, key=ccf.relabeling.images.__getitem__)

@@ -12,21 +12,31 @@ are exactly the cover automorphisms that map fibers to fibers and all of
 layer 0 into one layer, which is how ``is_expected`` decides expectedness
 for every base.
 
-For a connected non-bipartite base the cover is connected and bipartite
-with the two layers as its colour classes, so every cover automorphism
-preserves or swaps the layers: |Aut(BX)| is twice the order of the
-layer-preserving subgroup, which is the smaller search. Otherwise the
-layers are not an invariant of the cover and the whole cover is searched.
+No search runs on the whole cover. For a connected non-bipartite base
+the cover is connected and bipartite with the two layers as its colour
+classes, so every cover automorphism preserves or swaps the layers:
+|Aut(BX)| is twice the order of the layer-preserving subgroup. Any other
+base is read off its components, since B(X ⊔ Y) = B(X) ⊔ B(Y) and
+B(D) ≅ 2D for a connected bipartite D, K1 included. Aut of a disjoint
+union is ∏ Aut(C) ≀ S_k over its isomorphism classes, C occurring k
+times. Cover components are grouped by key, never by the base component
+they come from (B(C3) ≅ C6, so K3 ⊔ C6 has three isomorphic ones): a
+bipartite component's key is the least of its two colour-ordered forms,
+which for BC is the layer-ordered form, since the layer swap makes both
+colour orders give it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
-                         has_twins, bits)
+                         has_twins, bits, component_layers, layers_bipartite,
+                         induced_subgraph)
 from .perms import Permutation
-from .aut import OrderedPartition, canonical_form
+from .aut import CanonicalForm, OrderedPartition, canonical_form
 
 REASON_DISCONNECTED = "disconnected"
 REASON_BIPARTITE = "bipartite_with_nontrivial_aut"
@@ -73,7 +83,7 @@ def double_cover(g: Graph) -> DoubleCover:
     for x in range(n):
         rows[x] = g.adj[x] << n
         rows[x + n] = g.adj[x]
-    return DoubleCover(base=g, cover=Graph.from_rows(rows))
+    return DoubleCover(base=g, cover=Graph._unchecked(rows))
 
 
 def is_base_automorphism(g: Graph, phi: Permutation) -> bool:
@@ -132,6 +142,57 @@ def is_expected(d: DoubleCover, alpha: Permutation) -> bool:
     return layer_uniform and is_fiber_preserving(d, alpha)
 
 
+def _layered_cover_form(c: Graph) -> CanonicalForm:
+    """The search of the layer-preserving automorphisms of the cover of a
+    connected non-bipartite c; its order is half of |Aut(BC)|."""
+    n = c.n
+    layers = OrderedPartition((tuple(range(n)), tuple(range(n, 2 * n))))
+    return canonical_form(double_cover(c).cover, layers)
+
+
+def _bipartite_part(g: Graph, layers: tuple[int, ...]) -> tuple[str, int]:
+    """(key, |Aut|) of the bipartite component of g with these BFS layers:
+    the least of its two colour-ordered forms, and the colour-preserving
+    order, doubled when the two forms agree (an automorphism swaps the
+    colours)."""
+    c, remap = induced_subgraph(g, bits(sum(layers)))
+    colours = tuple(tuple(remap[v] for v in bits(sum(layers[p::2])))
+                    for p in (0, 1))
+    a, b = (canonical_form(c, OrderedPartition(cells))
+            for cells in (colours, colours[::-1]))
+    swap = a.canonical_graph6 == b.canonical_graph6
+    return (min(a.canonical_graph6, b.canonical_graph6),
+            a.aut_order * (2 if swap else 1))
+
+
+def _union_order(parts: list[tuple[str, int]]) -> int:
+    """|Aut| of a disjoint union from the (key, |Aut|) of its components."""
+    orders = dict(parts)
+    out = 1
+    for key, k in Counter(key for key, _ in parts).items():
+        out *= orders[key] ** k * factorial(k)
+    return out
+
+
+def _component_orders(g: Graph) -> tuple[int, int]:
+    """(|Aut(X)|, |Aut(BX)|) of g from its connected components."""
+    base, cover = [], []
+    for layers in component_layers(g):
+        if len(layers) == 1:
+            part = ("@", 1)  # K1, keyed by its graph6
+        elif layers_bipartite(g, layers):
+            part = _bipartite_part(g, layers)
+        else:
+            c = induced_subgraph(g, bits(sum(layers)))[0]
+            cf, lf = canonical_form(c), _layered_cover_form(c)
+            base.append((cf.canonical_graph6, cf.aut_order))
+            cover.append((lf.canonical_graph6, 2 * lf.aut_order))
+            continue
+        base.append(part)
+        cover += [part, part]  # B(D) is two copies of a bipartite D
+    return _union_order(base), _union_order(cover)
+
+
 def stability_report(g: Graph) -> StabilityReport:
     """Decide stability of g by comparing |Aut(BX)| with 2 |Aut(X)|.
 
@@ -147,14 +208,13 @@ def stability_report(g: Graph) -> StabilityReport:
     n = g.n
     connected = is_connected(g)
     bipartite = is_bipartite(g)
-    if connected and not bipartite:
-        partition = OrderedPartition((tuple(range(n)), tuple(range(n, 2 * n))))
-        factor = 2
+    if not connected:
+        aut_x, aut_bx = _component_orders(g)
     else:
-        partition = OrderedPartition.unit(2 * n)
-        factor = 1
-    aut_x = canonical_form(g).aut_order
-    aut_bx = factor * canonical_form(double_cover(g).cover, partition).aut_order
+        aut_x = canonical_form(g).aut_order
+        # BX is two copies of a bipartite X
+        aut_bx = 2 * (aut_x ** 2 if bipartite
+                      else _layered_cover_form(g).aut_order)
     expected = 2 * aut_x
     if aut_bx % expected:
         raise SoundnessError(

@@ -85,7 +85,16 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
 def intersection_array(g: Graph) -> Optional[IntersectionArray]:
     """Distance-regular parameters: from every vertex x, each vertex of
     layer j around x has b_j neighbours in layer j + 1 and c_j in layer
-    j - 1. None if some count varies within a layer or between vertices."""
+    j - 1. None if some count varies within a layer or between vertices.
+
+    Memoized per graph, since the distance-regular checker and each
+    strongly regular one read it."""
+    if "intersection_array" not in g._cache:
+        g._cache["intersection_array"] = _intersection_array(g)
+    return g._cache["intersection_array"]
+
+
+def _intersection_array(g: Graph) -> Optional[IntersectionArray]:
     if g.n == 0 or not is_connected(g):
         return None
     adj = g.adj

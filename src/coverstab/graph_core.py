@@ -43,8 +43,9 @@ class Graph:
     ``adj[v]`` is the neighbourhood of v as a bitset. Instances hash and
     compare by (n, adj) and are safe to share across threads; the private
     ``_cache`` slot memoizes derived data (canonical form, automorphism
-    group, stability report, the BFS layer table of ``distance_layers``)
-    without affecting value semantics.
+    group, stability report, the BFS layer table of ``distance_layers``,
+    the ``intersection_array`` of the criteria) without affecting value
+    semantics.
     """
 
     __slots__ = ("n", "adj", "label", "_cache")
@@ -69,7 +70,6 @@ class Graph:
     @classmethod
     def from_rows(cls, rows: Sequence[int], label: Optional[str] = None) -> "Graph":
         """Build from adjacency bitset rows (validated for symmetry/loops)."""
-        g = cls.__new__(cls)
         n = len(rows)
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} out of supported range")
@@ -82,8 +82,15 @@ class Graph:
             for u in bits(row):
                 if not (rows[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({v},{u})")
+        return cls._unchecked(rows, label)
+
+    @classmethod
+    def _unchecked(cls, rows: Sequence[int], label: Optional[str] = None) -> "Graph":
+        """Build from rows the package made itself: loop-free, symmetric,
+        in range and within MAX_VERTICES by construction, so unvalidated."""
+        g = cls.__new__(cls)
         g.adj = tuple(rows)
-        g.n = n
+        g.n = len(rows)
         g.label = label
         g._cache = {}
         return g
@@ -113,7 +120,7 @@ class Graph:
             for u in bits(row):
                 acc |= 1 << images[u]
             rows[images[v]] = acc
-        return Graph.from_rows(rows, label=self.label)
+        return Graph._unchecked(rows, label=self.label)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph)
@@ -216,7 +223,7 @@ def parse_graph6(line: str) -> Graph:
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return Graph.from_rows(rows)
+    return Graph._unchecked(rows)
 
 
 def graph6_size_prefix(n: int) -> bytes:
@@ -308,16 +315,28 @@ def is_connected(g: Graph) -> bool:
     return g.n == 0 or sum(distance_layers(g, 0)) == (1 << g.n) - 1
 
 
-def is_bipartite(g: Graph) -> bool:
-    """No component has an edge inside one of its BFS layers: such an edge
-    closes an odd cycle, and without one the layer parity 2-colours it."""
+def component_layers(g: Graph) -> list[tuple[int, ...]]:
+    """The BFS layers of each connected component around its smallest
+    vertex, components in the order of that vertex."""
+    out = []
     unseen = (1 << g.n) - 1
     while unseen:
-        for layer in distance_layers(g, (unseen & -unseen).bit_length() - 1):
-            unseen ^= layer
-            if any(g.adj[v] & layer for v in bits(layer)):
-                return False
-    return True
+        layers = distance_layers(g, (unseen & -unseen).bit_length() - 1)
+        unseen ^= sum(layers)
+        out.append(layers)
+    return out
+
+
+def layers_bipartite(g: Graph, layers: Sequence[int]) -> bool:
+    """Is the component with these BFS layers bipartite? An edge inside a
+    layer closes an odd cycle, and without one the layer parity 2-colours
+    the component."""
+    return not any(g.adj[v] & layer for layer in layers for v in bits(layer))
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Every component is bipartite."""
+    return all(layers_bipartite(g, layers) for layers in component_layers(g))
 
 
 def has_twins(g: Graph) -> bool:
@@ -390,4 +409,4 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict]:
             if new is not None:
                 acc |= 1 << new
         rows.append(acc)
-    return Graph.from_rows(rows), remap
+    return Graph._unchecked(rows), remap

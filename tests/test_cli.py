@@ -48,6 +48,22 @@ class TestAnalyze:
         names = {v["criterion"]: v["applies"] for v in payload["criteria"]}
         assert names["common-neighbor-separation"] is True
 
+    @pytest.mark.parametrize("g6, aut_x, aut_bx, classification", [
+        ("@", "1", "2", "stable"),                             # K1
+        ("A?", "2", "24", "trivially_unstable"),               # E2
+        ("HwCGGCP", "72", "10368", "trivially_unstable"),      # K3 + C6
+    ])
+    def test_component_inputs(self, capsys, g6, aut_x, aut_bx,
+                              classification):
+        code, out, _ = invoke(capsys, "analyze", g6)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["aut_x_order"], payload["aut_bx_order"]) == (
+            aut_x, aut_bx)
+        assert payload["classification"] == classification
+        assert int(payload["index"]) == int(aut_bx) // (2 * int(aut_x))
+        assert ("disconnected" in payload["reasons"]) == (g6 != "@")
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
         code, out, _ = invoke(capsys, "analyze", "-")

@@ -1,9 +1,10 @@
+import math
 import random
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
-from coverstab import perms
+from coverstab import cover, perms
 from coverstab.graph_core import Graph, is_connected, is_bipartite, has_twins
 from coverstab.perms import Permutation
 from coverstab.aut import automorphism_group, are_isomorphic, canonical_form
@@ -307,3 +308,120 @@ class TestStabilityReport:
         gens = [tau(d)] + [lift(d, p) for p in automorphism_group(g).generators]
         closure = naive_closure([p.images for p in gens], 10)
         assert expected_group(d).order() == len(closure)
+
+
+def disjoint_union(parts, rng=None):
+    """The disjoint union of parts, renumbered by a shuffle from rng."""
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(offset + u, offset + v) for u, v in h.edges()]
+        offset += h.n
+    images = list(range(offset))
+    if rng is not None:
+        rng.shuffle(images)
+    return Graph(offset, [(images[u], images[v]) for u, v in edges])
+
+
+def whole_cover_orders(g):
+    """(|Aut(X)|, |Aut(BX)|) from the unit-partition search of X and of
+    the whole 2n-vertex cover."""
+    return (canonical_form(g).aut_order,
+            canonical_form(double_cover(g).cover).aut_order)
+
+
+def report_orders(g):
+    r = stability_report(Graph.from_rows(g.adj))
+    return r.aut_x_order, r.aut_bx_order
+
+
+def random_unions(graphs_by_order, count, seed):
+    """Seeded disjoint unions of 1-4 connected components of order <= 5,
+    with K1, repeated components and bipartite and non-bipartite parts."""
+    connected = [g for n in range(1, 6) for g in graphs_by_order[n]
+                 if is_connected(g)]
+    rng = random.Random(seed)
+    unions = []
+    for _ in range(count):
+        parts = [rng.choice(connected) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            parts.append(parts[0])
+        if rng.random() < 0.3:
+            parts.append(Graph(1))
+        unions.append(disjoint_union(parts, rng))
+    return unions
+
+
+K3 = complete_graph(3)
+
+# Unions whose cover components fall into fewer classes than their base
+# components: B(K3) = C6 and B(C5) = C10.
+COLLISIONS = {
+    "K3+C6": ([K3, cycle(6)], 72, 12 ** 3 * 6),
+    "C5+C10": ([cycle(5), cycle(10)], 200, 20 ** 3 * 6),
+    "K1+K2": ([Graph(1), complete_graph(2)], 2, 2 * 2 ** 2 * 2),
+    "2K3+C6": ([K3, K3, cycle(6)], 6 ** 2 * 2 * 12, 12 ** 4 * 24),
+}
+
+
+class TestComponentDecision:
+    def test_matches_whole_cover_up_to_order_7(self, graphs_by_order):
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                assert report_orders(g) == whole_cover_orders(g)
+
+    def test_matches_whole_cover_on_random_unions(self, graphs_by_order):
+        unions = random_unions(graphs_by_order, 200, seed=11)
+        assert sum(not is_connected(g) for g in unions) >= 150
+        for g in unions:
+            assert report_orders(g) == whole_cover_orders(g)
+
+    @pytest.mark.parametrize("name", sorted(COLLISIONS))
+    def test_cover_classes_across_base_components(self, name):
+        parts, aut_x, aut_bx = COLLISIONS[name]
+        g = disjoint_union(parts, random.Random(name))
+        assert report_orders(g) == (aut_x, aut_bx) == whole_cover_orders(g)
+
+    def test_disconnected_cover_orders_match_vf2(self, graphs_by_order):
+        # every union of two or three connected graphs of order <= 3, and
+        # the collisions; covers with more than `limit` automorphisms are
+        # skipped
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+        limit = 500
+        small = [g for n in range(1, 4) for g in graphs_by_order[n]
+                 if is_connected(g)]
+        pool = [disjoint_union(parts) for k in (2, 3)
+                for parts in combinations_with_replacement(small, k)]
+        pool += [disjoint_union(parts) for parts, _, _ in COLLISIONS.values()]
+        compared = 0
+        for g in pool:
+            cov = double_cover(g).cover
+            h = nx.Graph()
+            h.add_nodes_from(range(cov.n))
+            h.add_edges_from(cov.edges())
+            count = sum(1 for _ in islice(
+                GraphMatcher(h, h).isomorphisms_iter(), limit + 1))
+            if count <= limit:
+                assert report_orders(g)[1] == count
+                compared += 1
+        assert compared >= 15
+
+    def test_degenerate_unions_need_no_big_search(self, monkeypatch):
+        # E2000 is closed-form, and 300 K3 searches only K3 and its
+        # 6-vertex cover C6
+        seen = []
+        real = cover.canonical_form
+
+        def recording(h, *args):
+            seen.append(h.n)
+            return real(h, *args)
+
+        monkeypatch.setattr(cover, "canonical_form", recording)
+        r = stability_report(Graph(2000))
+        assert (r.aut_x_order, r.aut_bx_order) == (
+            math.factorial(2000), math.factorial(4000))
+        assert not seen
+        r = stability_report(disjoint_union([K3] * 300, random.Random(13)))
+        assert (r.aut_x_order, r.aut_bx_order) == (
+            6 ** 300 * math.factorial(300), 12 ** 300 * math.factorial(300))
+        assert seen and max(seen) <= 6

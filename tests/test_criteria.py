@@ -329,6 +329,33 @@ class TestSharedDistanceTable:
         criteria_summary(g)
         assert len(calls) <= g.n + 10
 
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)
+                           if pow(j - i, 6, 13) == 1]),
+        petersen,
+        lambda: johnson(6, 3),
+    ], ids=["Paley(13)", "Petersen", "J(6,3)"])
+    def test_one_intersection_array_per_graph(self, make, monkeypatch):
+        # the distance-regular checker and the three strongly regular ones
+        # all read the memoized intersection array, so a summary computes
+        # it once: a call that finds no cached array is a computation
+        g = make()
+        computed = []
+        real = intersection_array
+
+        def counting(h):
+            if "intersection_array" not in h._cache:
+                computed.append(h)
+            return real(h)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "coverstab"
+                    and getattr(module, "intersection_array", None) is real):
+                monkeypatch.setattr(module, "intersection_array", counting)
+        criteria_summary(g)
+        assert intersection_array(g) is not None
+        assert len(computed) == 1
+
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(314)

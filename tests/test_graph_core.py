@@ -108,6 +108,15 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("rows", [
+        [0b10, 0b00],   # 0 ~ 1 but not 1 ~ 0
+        [0b01, 0b00],   # a loop at 0
+        [0b110, 0b01],  # 0 ~ 2 with n = 2
+    ], ids=["asymmetric", "loop", "out-of-range"])
+    def test_from_rows_validates(self, rows):
+        with pytest.raises(ValueError):
+            Graph.from_rows(rows)
+
     def test_equality_and_relabel(self):
         g = cycle(5)
         assert g.relabel([1, 2, 3, 4, 0]) == g
