@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph_core import (Graph, SoundnessError, graph6_payload,
                          graph6_size_prefix)
@@ -130,88 +130,60 @@ def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
     return OrderedPartition(tuple(tuple(c) for c in cells))
 
 
-def _target_cell_index(cells: list[list[int]]) -> int:
-    """First largest non-singleton cell (fixed rule for determinism)."""
-    best = -1
-    best_len = 1
-    for i, c in enumerate(cells):
-        if len(c) > best_len:
-            best = i
-            best_len = len(c)
-    return best
+class _Leaf(NamedTuple):
+    """A leaf of the search tree, as ``_Search`` records it."""
+
+    path: list[tuple]
+    payload: bytes
+    lab: list[int]
+    prefix: list[int]
 
 
 class _Search:
-    """One individualization-refinement run over a fixed graph."""
+    """One individualization-refinement run over a fixed graph.
 
-    def __init__(self, g: Graph, initial: OrderedPartition):
+    ``zeta`` is the first leaf, against which automorphisms are detected;
+    ``rho`` is the best leaf, the greatest by (path, payload), which gives
+    the canonical form. Each is a ``_Leaf`` record of its invariant path,
+    graph6 payload, labelling (position -> vertex) and individualized
+    prefix.
+    """
+
+    def __init__(self, g: Graph):
         self.adj = g.adj
         self.n = g.n
-        self.initial = initial
         self.gens: list[tuple[int, ...]] = []
-        self.zeta_inv: list[tuple] = []
-        self.zeta_payload: Optional[bytes] = None
-        self.zeta_lab: list[int] = []
-        self.zeta_base: list[int] = []
-        self.rho_inv: list[tuple] = []
-        self.rho_payload: Optional[bytes] = None
-        self.rho_lab: list[int] = []
-        self.rho_base: list[int] = []
+        self.zeta: Optional[_Leaf] = None
+        self.rho: Optional[_Leaf] = None
         self.order = 1
         # Backjump target depth after an automorphism discovery, or None.
         self.jump_to: Optional[int] = None
 
-    def run(self) -> None:
-        cells = [list(c) for c in self.initial.cells]
+    def run(self, initial: OrderedPartition) -> None:
+        cells = [list(c) for c in initial.cells]
         trace: list[int] = []
         _refine_cells(self.adj, cells, [_mask(c) for c in cells], trace,
                       self.n)
-        inv = _invariant(cells, trace)
-        self._node(cells, [inv], [])
+        self._node(cells, [_invariant(cells, trace)], [])
 
-    # -- path comparisons ----------------------------------------------
-
-    def _eq_zeta(self, path: list[tuple]) -> bool:
-        if len(path) > len(self.zeta_inv):
-            return False
-        return all(a == b for a, b in zip(path, self.zeta_inv))
-
-    def _cmp_rho(self, path: list[tuple]) -> int:
-        """Lexicographic compare of path vs the best leaf's invariant path."""
-        for a, b in zip(path, self.rho_inv):
-            if a != b:
-                return 1 if a > b else -1
-        return 0 if len(path) <= len(self.rho_inv) else 1
-
-    # -- automorphism bookkeeping ----------------------------------------
-
-    def _add_generator(self, ref_lab: list[int], lab: list[int]) -> None:
-        sigma = [0] * self.n
-        for ref_v, v in zip(ref_lab, lab):
-            sigma[ref_v] = v
-        sig = tuple(sigma)
-        if all(i == x for i, x in enumerate(sig)):
-            return
-        if sig not in self.gens:
-            self.gens.append(sig)
-
-    def _fixing(self, prefix: list[int]) -> list[tuple[int, ...]]:
-        """The automorphisms found so far that fix prefix pointwise."""
-        return [g for g in self.gens if all(g[b] == b for b in prefix)]
-
-    # -- the backtracking search ------------------------------------------
+    def _orbit(self, prefix: list[int], v: int) -> set[int]:
+        """The orbit of v under the automorphisms found so far that fix
+        prefix pointwise."""
+        return orbit_of([g for g in self.gens
+                         if all(g[b] == b for b in prefix)], v)
 
     def _node(self, cells: list[list[int]], path: list[tuple],
               prefix: list[int]) -> None:
         if len(cells) == self.n:
             self._leaf(cells, path, prefix)
             return
-        ti = _target_cell_index(cells)
-        first_path = self.zeta_payload is None
+        # the first largest cell (a fixed rule, for determinism)
+        ti = max(range(len(cells)), key=lambda i: len(cells[i]))
+        first_path = self.zeta is None
         targets = sorted(cells[ti])
         done: set[int] = set()
         for v in targets:
-            if done and not done.isdisjoint(orbit_of(self._fixing(prefix), v)):
+            if done and not done.isdisjoint(self._orbit(prefix, v)):
                 continue
             done.add(v)
             child = [list(c) for c in cells]
@@ -219,15 +191,11 @@ class _Search:
             child[ti:ti + 1] = [[v], rest]
             trace: list[int] = [ti]
             _refine_cells(self.adj, child, [1 << v, _mask(rest)], trace, self.n)
-            inv = _invariant(child, trace)
-            path.append(inv)
-            if self.zeta_payload is None:
+            path.append(_invariant(child, trace))
+            k = len(path)
+            if (self.zeta is None or path == self.zeta.path[:k]
+                    or path >= self.rho.path[:k]):
                 self._node(child, path, prefix + [v])
-            else:
-                eq_z = self._eq_zeta(path)
-                cmp_r = self._cmp_rho(path)
-                if eq_z or cmp_r >= 0:
-                    self._node(child, path, prefix + [v])
             path.pop()
             if self.jump_to is not None:
                 # A discovered automorphism showed the remaining siblings'
@@ -239,47 +207,38 @@ class _Search:
         if first_path:
             # A backjump never unwinds past an open first-path node, so every
             # sibling of the first child has been explored or pruned here.
-            self.order *= len(orbit_of(self._fixing(prefix), targets[0]))
+            self.order *= len(self._orbit(prefix, targets[0]))
 
-    @staticmethod
-    def _common_depth(a: list[int], b: list[int]) -> int:
-        d = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            d += 1
-        return d
+    def _match(self, ref: _Leaf, leaf: _Leaf) -> Optional[int]:
+        """When leaf has ref's path and graph, record the automorphism
+        ref.lab -> leaf.lab and return the depth of the deepest common
+        ancestor of the two leaves; otherwise None."""
+        if leaf[:2] != ref[:2]:
+            return None
+        sigma = [0] * self.n
+        for ref_v, v in zip(ref.lab, leaf.lab):
+            sigma[ref_v] = v
+        sig = tuple(sigma)
+        if sig not in self.gens:
+            self.gens.append(sig)
+        depth = 0
+        while leaf.prefix[depth] == ref.prefix[depth]:
+            depth += 1
+        return depth
 
     def _leaf(self, cells: list[list[int]], path: list[tuple],
               prefix: list[int]) -> None:
         lab = [c[0] for c in cells]
-        payload = graph6_payload(self.adj, lab)
-        if self.zeta_payload is None:
-            self.zeta_inv = list(path)
-            self.zeta_payload = payload
-            self.zeta_lab = lab
-            self.zeta_base = list(prefix)
-            self.rho_inv = list(path)
-            self.rho_payload = payload
-            self.rho_lab = lab
-            self.rho_base = list(prefix)
+        leaf = _Leaf(list(path), graph6_payload(self.adj, lab), lab, prefix)
+        if self.zeta is None:
+            self.zeta = self.rho = leaf
             return
-        jump = None
-        if self._eq_zeta(path) and payload == self.zeta_payload:
-            self._add_generator(self.zeta_lab, lab)
-            jump = self._common_depth(prefix, self.zeta_base)
-        cmp_r = self._cmp_rho(path)
-        if cmp_r == 0 and payload == self.rho_payload and lab != self.rho_lab:
-            self._add_generator(self.rho_lab, lab)
-            jr = self._common_depth(prefix, self.rho_base)
-            jump = jr if jump is None else min(jump, jr)
-        if cmp_r > 0 or (cmp_r == 0 and payload > self.rho_payload):
-            self.rho_inv = list(path)
-            self.rho_payload = payload
-            self.rho_lab = lab
-            self.rho_base = list(prefix)
-        if jump is not None:
-            self.jump_to = jump
+        jumps = [d for d in (self._match(self.zeta, leaf),
+                             self._match(self.rho, leaf)) if d is not None]
+        if leaf[:2] > self.rho[:2]:
+            self.rho = leaf
+        if jumps:
+            self.jump_to = min(jumps)
 
 
 def canonical_form(g: Graph,
@@ -297,13 +256,13 @@ def canonical_form(g: Graph,
         if cached is not None:
             return cached
         initial_partition = OrderedPartition.unit(g.n)
-    search = _Search(g, initial_partition)
-    search.run()
+    search = _Search(g)
+    search.run(initial_partition)
     n = g.n
     relab = [0] * n
-    for pos, v in enumerate(search.rho_lab):
+    for pos, v in enumerate(search.rho.lab):
         relab[v] = pos
-    canon6 = (graph6_size_prefix(n) + search.rho_payload).decode("ascii")
+    canon6 = (graph6_size_prefix(n) + search.rho.payload).decode("ascii")
     cf = CanonicalForm(
         relabeling=Permutation(relab),
         canonical_graph6=canon6,
@@ -322,19 +281,12 @@ def automorphism_group(g: Graph,
     The only place the package runs Schreier-Sims: its order must equal
     the order the search reports, or SoundnessError is raised.
     """
-    colored = initial_partition is not None
-    if not colored:
-        cached = g._cache.get("aut_group")
-        if cached is not None:
-            return cached
     cf = canonical_form(g, initial_partition)
     grp = perms.group_from_generators(cf.aut_generators, g.n)
     if grp.order() != cf.aut_order:
         raise SoundnessError(
             f"Schreier-Sims order {grp.order()} differs from the search's "
             f"order {cf.aut_order}")
-    if not colored:
-        g._cache["aut_group"] = grp
     return grp
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from math import factorial
 
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
-                         has_twins, bits, component_layers, layers_bipartite,
-                         induced_subgraph)
+                         has_twins, bits, component_layers, distance_layers,
+                         layers_bipartite, induced_subgraph)
 from .perms import Permutation
 from .aut import CanonicalForm, OrderedPartition, canonical_form
 
@@ -150,19 +150,27 @@ def _layered_cover_form(c: Graph) -> CanonicalForm:
     return canonical_form(double_cover(c).cover, layers)
 
 
-def _bipartite_part(g: Graph, layers: tuple[int, ...]) -> tuple[str, int]:
-    """(key, |Aut|) of the bipartite component of g with these BFS layers:
-    the least of its two colour-ordered forms, and the colour-preserving
-    order, doubled when the two forms agree (an automorphism swaps the
-    colours)."""
-    c, remap = induced_subgraph(g, bits(sum(layers)))
-    colours = tuple(tuple(remap[v] for v in bits(sum(layers[p::2])))
-                    for p in (0, 1))
+def _bipartite_part(c: Graph) -> tuple[str, int]:
+    """(key, |Aut|) of a connected bipartite c: the least of its two
+    colour-ordered forms, and the colour-preserving order, doubled when
+    the two forms agree (an automorphism swaps the colours)."""
+    layers = distance_layers(c, 0)
+    colours = tuple(tuple(bits(sum(layers[p::2]))) for p in (0, 1))
     a, b = (canonical_form(c, OrderedPartition(cells))
             for cells in (colours, colours[::-1]))
     swap = a.canonical_graph6 == b.canonical_graph6
     return (min(a.canonical_graph6, b.canonical_graph6),
             a.aut_order * (2 if swap else 1))
+
+
+def _component_parts(c: Graph) -> tuple[list, list]:
+    """The (key, |Aut|) parts a connected c adds to X and to BX."""
+    if layers_bipartite(c, distance_layers(c, 0)):
+        part = _bipartite_part(c)
+        return [part], [part, part]  # B(D) is two copies of a bipartite D
+    cf, lf = canonical_form(c), _layered_cover_form(c)
+    return ([(cf.canonical_graph6, cf.aut_order)],
+            [(lf.canonical_graph6, 2 * lf.aut_order)])
 
 
 def _union_order(parts: list[tuple[str, int]]) -> int:
@@ -175,21 +183,20 @@ def _union_order(parts: list[tuple[str, int]]) -> int:
 
 
 def _component_orders(g: Graph) -> tuple[int, int]:
-    """(|Aut(X)|, |Aut(BX)|) of g from its connected components."""
+    """(|Aut(X)|, |Aut(BX)|) of g from its connected components; a
+    component equal to one already seen reuses its parts."""
     base, cover = [], []
+    seen: dict[Graph, tuple[list, list]] = {}
     for layers in component_layers(g):
         if len(layers) == 1:
-            part = ("@", 1)  # K1, keyed by its graph6
-        elif layers_bipartite(g, layers):
-            part = _bipartite_part(g, layers)
+            parts = [("@", 1)], [("@", 1)] * 2  # K1, keyed by its graph6
         else:
             c = induced_subgraph(g, bits(sum(layers)))[0]
-            cf, lf = canonical_form(c), _layered_cover_form(c)
-            base.append((cf.canonical_graph6, cf.aut_order))
-            cover.append((lf.canonical_graph6, 2 * lf.aut_order))
-            continue
-        base.append(part)
-        cover += [part, part]  # B(D) is two copies of a bipartite D
+            if c not in seen:
+                seen[c] = _component_parts(c)
+            parts = seen[c]
+        base += parts[0]
+        cover += parts[1]
     return _union_order(base), _union_order(cover)
 
 

@@ -10,16 +10,19 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .graph_core import MAX_VERTICES, Graph, bits, is_bipartite, has_twins
+from .graph_core import Graph, bits, is_bipartite, has_twins
 from .perms import Permutation
 from .aut import vertex_orbits
+
+# Bitset rows cost about n^2/8 bytes, 128 MiB at this order.
+MAX_CONSTRUCTED = 1 << 15
 
 
 def _check_order(n: int, name: str) -> None:
     """Refuse a construction with too many vertices before building it."""
-    if n > MAX_VERTICES:
+    if n > MAX_CONSTRUCTED:
         raise ValueError(f"{name} has {n} vertices, more than the "
-                         f"supported {MAX_VERTICES}")
+                         f"{MAX_CONSTRUCTED} a construction may have")
 
 
 def complete_graph(n: int) -> Graph:

@@ -42,9 +42,9 @@ class Graph:
 
     ``adj[v]`` is the neighbourhood of v as a bitset. Instances hash and
     compare by (n, adj) and are safe to share across threads; the private
-    ``_cache`` slot memoizes derived data (canonical form, automorphism
-    group, stability report, the BFS layer table of ``distance_layers``,
-    the ``intersection_array`` of the criteria) without affecting value
+    ``_cache`` slot memoizes derived data (canonical form, stability
+    report, the BFS layer table of ``distance_layers``, the
+    ``intersection_array`` of the criteria) without affecting value
     semantics.
     """
 

@@ -173,6 +173,27 @@ class TestCanonicalForm:
             cf = canonical_form(g)
             assert g.relabel(cf.relabeling.images) == parse_graph6(cf.canonical_graph6)
 
+    def test_colored_form_invariant_under_relabeling(self):
+        # component keys and the layer-seeded cover search rely on a
+        # coloured form being canonical among graphs carrying the same
+        # ordered partition
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randrange(2, 10)
+            g = random_graph(rng, n)
+            order = list(range(n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(2, n - 1))))
+            cells = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+            images = list(range(n))
+            rng.shuffle(images)
+            cf = canonical_form(g, OrderedPartition.from_cells(cells, n))
+            moved = canonical_form(g.relabel(images), OrderedPartition.from_cells(
+                [[images[v] for v in c] for c in cells], n))
+            assert moved.canonical_graph6 == cf.canonical_graph6
+            assert moved.aut_order == cf.aut_order
+            assert g.relabel(cf.relabeling.images) == parse_graph6(cf.canonical_graph6)
+
     def test_distinguishes_non_isomorphic(self):
         assert (canonical_form(complete_graph(3)).canonical_graph6
                 != canonical_form(Graph(3, [(0, 1), (1, 2)])).canonical_graph6)
