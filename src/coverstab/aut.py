@@ -15,16 +15,26 @@ fix its prefix generate its stabilizer, so |Aut| is the product over the
 first path of the orbit sizes of its individualized vertices. Vertex
 orbits are the orbits of the generators the search found. Schreier-Sims
 (``automorphism_group``) only cross-checks the order.
+
+Twins are collapsed before the search: ``canonical_form`` merges every
+class of open twins (equal neighbourhoods) and of closed twins (equal
+closed neighbourhoods) within one cell into a single coloured vertex,
+round after round, and searches the twin-free quotient. Any permutation
+of a twin class is an automorphism, so the order is the quotient's times
+s! per merged class of s, and the generators are the quotient's, lifted
+block by block, plus one transposition and one cycle per class. An
+edgeless graph, a star or K_n is searched as at most two vertices.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable, NamedTuple, Optional
 
-from .graph_core import (Graph, SoundnessError, graph6_payload,
-                         graph6_size_prefix)
+from .graph_core import (Graph, SoundnessError, bits, graph6_payload,
+                         graph6_size_prefix, has_twins)
 from . import perms
 from .perms import Permutation, orbit_of
 
@@ -60,7 +70,10 @@ class CanonicalForm:
 
     ``relabeling`` maps input vertex -> canonical position; applying it to
     the input graph yields exactly the graph encoded by canonical_graph6.
-    ``aut_order`` is the order of the group the generators generate.
+    ``aut_order`` is the order of the group the generators generate. For
+    a graph with twins the generators are the twin-free quotient's, lifted
+    block by block, and a transposition and a cycle of each merged twin
+    class.
     """
 
     relabeling: Permutation
@@ -241,6 +254,73 @@ class _Search:
             self.jump_to = min(jumps)
 
 
+def _twin_quotient(g: Graph, initial: OrderedPartition):
+    """The twin-free coloured quotient of g, or None when g has no twins
+    within one cell of ``initial``.
+
+    Each round merges every class of open twins (equal rows) and of closed
+    twins (equal rows with the vertex's own bit) that lie in one colour
+    class into its least vertex, coloured by the rank of (old colour, twin
+    type, class size); the first colours are the cell indices. Returns the
+    quotient, its colour cells in rank order, the block of vertices of g
+    behind each quotient vertex, and each merged class as (block, number
+    of sub-blocks). A block is the concatenation of its equal-sized
+    sub-blocks, and blocks of one colour are isomorphic in that order.
+    """
+    adj = list(g.adj)
+    n = g.n
+    if (not has_twins(g)
+            and len({row | 1 << v for v, row in enumerate(adj)}) == n):
+        return None
+    colour = [0] * n
+    for c, cell in enumerate(initial.cells):
+        for v in cell:
+            colour[v] = c
+    blocks = [[v] for v in range(n)]
+    merged: list[tuple[list[int], int]] = []
+    while True:
+        groups: dict[tuple, list[int]] = {}
+        for v, row in enumerate(adj):
+            groups.setdefault((colour[v], 1, row), []).append(v)
+            groups.setdefault((colour[v], 2, row | 1 << v), []).append(v)
+        key = [(c, 0, 1) for c in colour]
+        gone: set[int] = set()
+        for (c, kind, _), cls in groups.items():
+            if len(cls) > 1:
+                key[cls[0]] = (c, kind, len(cls))
+                blocks[cls[0]] = [x for u in cls for x in blocks[u]]
+                merged.append((blocks[cls[0]], len(cls)))
+                gone.update(cls[1:])
+        if not gone:
+            break
+        kept = [v for v in range(len(adj)) if v not in gone]
+        index = {v: i for i, v in enumerate(kept)}
+        keep = _mask(kept)
+        adj = [_mask(index[u] for u in bits(adj[v] & keep)) for v in kept]
+        rank = {k: i for i, k in enumerate(sorted({key[v] for v in kept}))}
+        colour = [rank[key[v]] for v in kept]
+        blocks = [blocks[v] for v in kept]
+    if not merged:
+        return None
+    cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    return (Graph._unchecked(adj), OrderedPartition(tuple(map(tuple, cells))),
+            blocks, merged)
+
+
+def _block_generators(n: int, block: list[int], s: int) -> list[tuple]:
+    """A transposition and a cycle of the s equal sub-blocks of block,
+    which together generate their symmetric group (one swap when s = 2)."""
+    size = len(block) // s
+    swap, turn = list(range(n)), list(range(n))
+    for i, v in enumerate(block):
+        turn[v] = block[(i + size) % len(block)]
+    for i in range(size):
+        swap[block[i]], swap[block[size + i]] = block[size + i], block[i]
+    return [tuple(swap)] + ([tuple(turn)] if s > 2 else [])
+
+
 def canonical_form(g: Graph,
                    initial_partition: Optional[OrderedPartition] = None) -> CanonicalForm:
     """Canonical form, relabeling and automorphism generators of g.
@@ -249,6 +329,10 @@ def canonical_form(g: Graph,
     arbitrary relabelings. A non-unit ``initial_partition`` restricts the
     search to cell-preserving maps (colored canonical form); results are
     then only canonical among graphs carrying the same partition.
+
+    The search runs on the twin-free coloured quotient of g. Its best leaf
+    is expanded block by block into a labelling of g, which stays
+    canonical because blocks of one colour are isomorphic in block order.
     """
     colored = initial_partition is not None
     if not colored:
@@ -256,18 +340,36 @@ def canonical_form(g: Graph,
         if cached is not None:
             return cached
         initial_partition = OrderedPartition.unit(g.n)
-    search = _Search(g)
-    search.run(initial_partition)
     n = g.n
+    quotient = _twin_quotient(g, initial_partition)
+    q, cells = quotient[:2] if quotient else (g, initial_partition)
+    search = _Search(q)
+    search.run(cells)
+    lab, payload = search.rho.lab, search.rho.payload
+    gens, order = search.gens, search.order
+    if quotient:
+        blocks, merged = quotient[2:]
+        lab = [v for b in lab for v in blocks[b]]
+        payload = graph6_payload(g.adj, lab)
+        gens = []
+        for sig in search.gens:
+            images = [0] * n
+            for b, image in zip(blocks, sig):
+                for x, y in zip(b, blocks[image]):
+                    images[x] = y
+            gens.append(tuple(images))
+        for block, s in merged:
+            gens += _block_generators(n, block, s)
+            order *= factorial(s)
     relab = [0] * n
-    for pos, v in enumerate(search.rho.lab):
+    for pos, v in enumerate(lab):
         relab[v] = pos
-    canon6 = (graph6_size_prefix(n) + search.rho.payload).decode("ascii")
+    canon6 = (graph6_size_prefix(n) + payload).decode("ascii")
     cf = CanonicalForm(
         relabeling=Permutation(relab),
         canonical_graph6=canon6,
-        aut_generators=tuple(Permutation(s) for s in search.gens),
-        aut_order=search.order)
+        aut_generators=tuple(Permutation(s) for s in gens),
+        aut_order=order)
     if not colored:
         g._cache["canon"] = cf
     return cf

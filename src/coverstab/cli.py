@@ -54,12 +54,12 @@ def _cmd_analyze(args) -> int:
         verdicts = criteria_summary(g)
         payload["criteria"] = [v.as_dict() for v in verdicts]
     print(json.dumps(payload))
-    human = (f"n={report.n} |Aut(X)|={report.aut_x_order} "
-             f"|Aut(BX)|={report.aut_bx_order} -> {report.classification}")
+    human = (f"n={report.n} |Aut(X)|={payload['aut_x_order']} "
+             f"|Aut(BX)|={payload['aut_bx_order']} -> {report.classification}")
     if report.reasons:
         human += " (" + ", ".join(report.reasons) + ")"
     if not report.stable:
-        human += f", instability index {report.instability_index}"
+        human += f", instability index {payload['index']}"
     print(human, file=sys.stderr)
     return EXIT_OK
 

@@ -51,6 +51,19 @@ class DoubleCover:
     cover: Graph
 
 
+_DIGITS = 600  # below the least digit limit str(int) can be set to
+
+
+def _decimal(x: int) -> str:
+    """x >= 0 in decimal at any length; str(x) refuses more digits than
+    sys.get_int_max_str_digits(), which |Aut(B E_1200)| = 2400! exceeds."""
+    chunks = []
+    while x >= 10 ** _DIGITS:
+        x, low = divmod(x, 10 ** _DIGITS)
+        chunks.append(str(low).zfill(_DIGITS))
+    return str(x) + "".join(reversed(chunks))
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of the stability decision for one graph."""
@@ -67,10 +80,10 @@ class StabilityReport:
         """JSON-friendly form; group orders as decimal strings."""
         return {
             "n": self.n,
-            "aut_x_order": str(self.aut_x_order),
-            "aut_bx_order": str(self.aut_bx_order),
+            "aut_x_order": _decimal(self.aut_x_order),
+            "aut_bx_order": _decimal(self.aut_bx_order),
             "stable": self.stable,
-            "index": str(self.instability_index),
+            "index": _decimal(self.instability_index),
             "classification": self.classification,
             "reasons": list(self.reasons),
         }
@@ -163,12 +176,13 @@ def _bipartite_part(c: Graph) -> tuple[str, int]:
             a.aut_order * (2 if swap else 1))
 
 
-def _component_parts(c: Graph) -> tuple[list, list]:
-    """The (key, |Aut|) parts a connected c adds to X and to BX."""
+def _component_parts(c: Graph, cf: CanonicalForm) -> tuple[list, list]:
+    """The (key, |Aut|) parts a connected c with canonical form cf adds
+    to X and to BX."""
     if layers_bipartite(c, distance_layers(c, 0)):
         part = _bipartite_part(c)
         return [part], [part, part]  # B(D) is two copies of a bipartite D
-    cf, lf = canonical_form(c), _layered_cover_form(c)
+    lf = _layered_cover_form(c)
     return ([(cf.canonical_graph6, cf.aut_order)],
             [(lf.canonical_graph6, 2 * lf.aut_order)])
 
@@ -184,16 +198,22 @@ def _union_order(parts: list[tuple[str, int]]) -> int:
 
 def _component_orders(g: Graph) -> tuple[int, int]:
     """(|Aut(X)|, |Aut(BX)|) of g from its connected components; a
-    component equal to one already seen reuses its parts."""
+    component isomorphic to one already seen reuses its parts, and one
+    equal to it as labelled is not searched at all."""
     base, cover = [], []
     seen: dict[Graph, tuple[list, list]] = {}
+    by_form: dict[str, tuple[list, list]] = {}
     for layers in component_layers(g):
         if len(layers) == 1:
             parts = [("@", 1)], [("@", 1)] * 2  # K1, keyed by its graph6
         else:
             c = induced_subgraph(g, bits(sum(layers)))[0]
             if c not in seen:
-                seen[c] = _component_parts(c)
+                cf = canonical_form(c)
+                key = cf.canonical_graph6
+                if key not in by_form:
+                    by_form[key] = _component_parts(c, cf)
+                seen[c] = by_form[key]
             parts = seen[c]
         base += parts[0]
         cover += parts[1]

@@ -1,14 +1,16 @@
+import math
 import random
 
 import pytest
 
-from coverstab import perms
+from coverstab import aut, perms
 from coverstab.graph_core import Graph, SoundnessError, parse_graph6
 from coverstab.perms import group_from_generators
 from coverstab.aut import (OrderedPartition, refine, canonical_form,
                            automorphism_group, are_isomorphic, vertex_orbits)
-from coverstab.cover import double_cover
-from coverstab.families import complete_graph, cycle, petersen, johnson
+from coverstab.cover import double_cover, stability_report
+from coverstab.families import (complete_graph, cycle, petersen, johnson,
+                                lex_product)
 
 from oracles import (brute_force_aut_count, brute_force_automorphisms,
                      backtrack_aut_count, naive_closure, complement,
@@ -278,3 +280,161 @@ class TestIsomorphism:
             assert grp.order() == len(naive_closure(gens, g.n))
             built = group_from_generators(grp.generators, g.n)
             assert built.order() == grp.order()
+
+
+def random_cograph(rng, n):
+    """A cograph on n vertices: K1, or the disjoint union or the join of
+    two smaller cographs."""
+    if n == 1:
+        return Graph(1)
+    a = rng.randrange(1, n)
+    left, right = random_cograph(rng, a), random_cograph(rng, n - a)
+    rows = list(left.adj) + [row << a for row in right.adj]
+    if rng.random() < 0.5:
+        for v in range(a):
+            rows[v] |= ((1 << (n - a)) - 1) << a
+        for v in range(a, n):
+            rows[v] |= (1 << a) - 1
+    return Graph.from_rows(rows)
+
+
+def cocktail_party(m):
+    """K_{2m} minus a perfect matching: Aut is the hyperoctahedral group
+    of order 2^m m!."""
+    return Graph(2 * m, [(u, v) for u in range(2 * m)
+                         for v in range(u + 1, 2 * m) if v != u + m])
+
+
+def complete_multipartite(sizes):
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    return Graph(len(part), [(u, v) for u in range(len(part))
+                             for v in range(u + 1, len(part))
+                             if part[u] != part[v]])
+
+
+def twin_rich_graphs(rng):
+    """Seeded inputs whose twin quotients are small or nested."""
+    graphs = [random_cograph(rng, rng.randrange(1, 13)) for _ in range(40)]
+    for _ in range(15):
+        base = random_graph(rng, rng.randrange(1, 6))
+        k = rng.randrange(2, 4)
+        graphs += [lex_product(base, Graph(k)),
+                   lex_product(base, complete_graph(k))]
+    graphs += [cocktail_party(m) for m in range(1, 7)]
+    graphs += [complete_multipartite([rng.randrange(1, 5)
+                                      for _ in range(rng.randrange(1, 5))])
+               for _ in range(15)]
+    return graphs
+
+
+def random_colouring(rng, n):
+    """A random ordered partition of range(n) into 1-3 cells."""
+    order = list(range(n))
+    rng.shuffle(order)
+    k = rng.randint(1, min(3, n))
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    return OrderedPartition.from_cells(
+        [order[a:b] for a, b in zip([0] + cuts, cuts + [n])], n)
+
+
+def unreduced_order(g, partition):
+    """The order the IR search finds on g itself, with no twin quotient."""
+    search = aut._Search(g)
+    search.run(partition)
+    return search.order
+
+
+class TestTwinQuotient:
+    # canonical_form searches the twin-free coloured quotient; every
+    # answer is checked against the search on the graph itself and
+    # against Schreier-Sims on the lifted generators
+
+    def cases(self, graphs_by_order, seed):
+        rng = random.Random(seed)
+        graphs = twin_rich_graphs(rng)
+        graphs += [g for n in range(1, 8) for g in graphs_by_order[n]]
+        for g in graphs:
+            yield g, None
+            yield g, random_colouring(rng, g.n)
+
+    def test_order_matches_unreduced_search_and_schreier_sims(
+            self, graphs_by_order):
+        for g, partition in self.cases(graphs_by_order, 41):
+            cf = canonical_form(g, partition)
+            unit = partition or OrderedPartition.unit(g.n)
+            assert cf.aut_order == unreduced_order(g, unit)
+            assert automorphism_group(g, partition).order() == cf.aut_order
+            for p in cf.aut_generators:
+                assert g.relabel(p.images) == g
+                assert all(sorted(p.images[v] for v in cell) == list(cell)
+                           for cell in unit.cells)
+            assert (g.relabel(cf.relabeling.images)
+                    == parse_graph6(cf.canonical_graph6))
+
+    def test_canonical_string_invariant_under_shuffle(self, graphs_by_order):
+        rng = random.Random(42)
+        for g, partition in self.cases(graphs_by_order, 43):
+            images = list(range(g.n))
+            rng.shuffle(images)
+            moved = None if partition is None else OrderedPartition.from_cells(
+                [[images[v] for v in cell] for cell in partition.cells], g.n)
+            assert (canonical_form(g.relabel(images), moved).canonical_graph6
+                    == canonical_form(g, partition).canonical_graph6)
+
+    def test_closed_forms(self):
+        f = math.factorial
+        assert [canonical_form(cocktail_party(m)).aut_order
+                for m in range(1, 8)] == [2 ** m * f(m) for m in range(1, 8)]
+        sizes = [3, 3, 2, 1, 1, 1]
+        assert (canonical_form(complete_multipartite(sizes)).aut_order
+                == f(3) ** 2 * f(2) * f(2) * f(3))
+        assert (canonical_form(lex_product(cycle(9), Graph(4))).aut_order
+                == f(4) ** 9 * 18)
+
+    def test_isomorphism_agrees_with_networkx(self, graphs_by_order):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(44)
+        graphs = twin_rich_graphs(rng) + graphs_by_order[6][::2]
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return h
+
+        for g in graphs:
+            images = list(range(g.n))
+            rng.shuffle(images)
+            assert are_isomorphic(g, g.relabel(images))
+            if g.n < 2:
+                continue
+            u, v = rng.sample(range(g.n), 2)
+            rows = list(g.adj)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            h = Graph.from_rows(rows).relabel(images)
+            assert are_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+class TestLargeSymmetricInputs:
+    # the targets of the twin quotient, checked by counts rather than
+    # clocks
+
+    @pytest.mark.parametrize("n", [1200, 2000])
+    def test_edgeless_graph(self, n):
+        assert canonical_form(Graph(n)).aut_order == math.factorial(n)
+
+    def test_large_star_searches_two_vertices(self, monkeypatch):
+        sizes = []
+
+        class Recording(aut._Search):
+            def __init__(self, g):
+                sizes.append(g.n)
+                super().__init__(g)
+
+        monkeypatch.setattr(aut, "_Search", Recording)
+        star = Graph(2001, [(0, i) for i in range(1, 2001)])
+        report = stability_report(star)
+        f = math.factorial(2000)
+        assert (report.aut_x_order, report.aut_bx_order) == (f, 2 * f * f)
+        assert sizes and max(sizes) <= 2

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coverstab.graph_core import parse_graph6, write_graph6
+from coverstab.graph_core import Graph, parse_graph6, write_graph6
 from coverstab.aut import are_isomorphic
 from coverstab.families import complete_graph, cycle, johnson
 from coverstab.cli import run, EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_SOUNDNESS
@@ -64,6 +65,19 @@ class TestAnalyze:
         assert int(payload["index"]) == int(aut_bx) // (2 * int(aut_x))
         assert ("disconnected" in payload["reasons"]) == (g6 != "@")
 
+    def test_large_edgeless_graph(self, capsys):
+        # |Aut(BX)| = 2400! has more digits than str(int) prints by default
+        code, out, err = invoke(capsys, "analyze", write_graph6(Graph(1200)))
+        assert code == EXIT_OK and "Traceback" not in err
+        payload = json.loads(out)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert payload["aut_x_order"] == str(math.factorial(1200))
+            assert payload["aut_bx_order"] == str(math.factorial(2400))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
         code, out, _ = invoke(capsys, "analyze", "-")
@@ -95,6 +109,12 @@ class TestIso:
         assert code == EXIT_OK and out.strip() == "true"
         code, out, _ = invoke(capsys, "iso", "Bw", "Bg")
         assert out.strip() == "false"
+
+    def test_large_edgeless_graphs(self, capsys):
+        # the canonical form of E1200 searches one quotient vertex
+        e1200 = write_graph6(Graph(1200))
+        code, out, _ = invoke(capsys, "iso", e1200, e1200)
+        assert code == EXIT_OK and out.strip() == "true"
 
 
 class TestFamily:

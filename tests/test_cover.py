@@ -425,3 +425,20 @@ class TestComponentDecision:
         assert (r.aut_x_order, r.aut_bx_order) == (
             6 ** 300 * math.factorial(300), 12 ** 300 * math.factorial(300))
         assert sorted(seen) == [3, 6]
+
+    def test_isomorphic_components_share_one_search(self, monkeypatch):
+        # 100 shuffled Petersen graphs: one canonical form per component
+        # for its key, and one layered cover search for the class
+        seen = []
+        real = cover.canonical_form
+
+        def recording(h, *args):
+            seen.append(h.n)
+            return real(h, *args)
+
+        monkeypatch.setattr(cover, "canonical_form", recording)
+        r = stability_report(disjoint_union([petersen()] * 100,
+                                            random.Random(13)))
+        assert (r.aut_x_order, r.aut_bx_order) == (
+            120 ** 100 * math.factorial(100), 240 ** 100 * math.factorial(100))
+        assert len(seen) <= 101

@@ -17,25 +17,21 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
-GROUP_NAMES = {"group_from_generators", "PermGroup"}
-
-
-def _group_references(path):
-    """Lines of path that name a Schreier-Sims group, outside the body of
-    aut.automorphism_group."""
+def _references(path, names, owner):
+    """Lines of path that name one of names, outside the body of the
+    function owner of aut.py."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     allowed = set()
     if path.name == "aut.py":
         for node in tree.body:
-            if (isinstance(node, ast.FunctionDef)
-                    and node.name == "automorphism_group"):
+            if isinstance(node, ast.FunctionDef) and node.name == owner:
                 allowed = {id(inner) for inner in ast.walk(node)}
     found = []
     for node in ast.walk(tree):
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
                 else node.name if isinstance(node, ast.alias) else None)
-        if name in GROUP_NAMES and id(node) not in allowed:
+        if name in names and id(node) not in allowed:
             found.append(f"{path.name}:{node.lineno} {name}")
     return found
 
@@ -46,5 +42,17 @@ def test_schreier_sims_only_in_the_order_cross_check():
     # aut.automorphism_group, which cross-checks the search's order
     modules = [p for p in sorted(PACKAGE.rglob("*.py")) if p.name != "perms.py"]
     assert modules
-    found = [ref for path in modules for ref in _group_references(path)]
+    found = [ref for path in modules
+             for ref in _references(path, {"group_from_generators", "PermGroup"},
+                                    "automorphism_group")]
+    assert not found
+
+
+def test_search_runs_only_behind_the_twin_quotient():
+    # canonical_form collapses twins before it searches; a search built
+    # anywhere else would bypass the quotient
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [ref for path in modules
+             for ref in _references(path, {"_Search"}, "canonical_form")]
     assert not found
