@@ -4,10 +4,11 @@ refinement with individualization-refinement backtracking.
 The search follows the classical scheme: refine to an equitable partition,
 branch on vertices of a deterministically chosen target cell, and keep two
 reference leaves (the first leaf for automorphism detection, the best leaf
-for the canonical form). Pruning uses path invariants plus orbit pruning
-under the already-discovered automorphisms that fix the branching prefix.
-Correctness never depends on the pruning: skipped branches are provably
-equivalent to explored ones.
+for the canonical form), walking the tree with an explicit stack. Each
+node refines one array of cells in place (``_refine``), and its exact
+refinement trace is its invariant. Pruning uses these path invariants plus
+orbit pruning under the already-discovered automorphisms that fix the
+branching prefix. Skipped branches are provably equivalent to explored ones.
 
 The group order is read off the search tree, as nauty does: when a node on
 the first path has explored all its children, the automorphisms found that
@@ -28,7 +29,6 @@ edgeless graph, a star or K_n is searched as at most two vertices.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, NamedTuple, Optional
@@ -73,13 +73,15 @@ class CanonicalForm:
     ``aut_order`` is the order of the group the generators generate. For
     a graph with twins the generators are the twin-free quotient's, lifted
     block by block, and a transposition and a cycle of each merged twin
-    class.
+    class. ``discrete``: refinement alone made the initial partition
+    discrete (one leaf, no twins).
     """
 
     relabeling: Permutation
     canonical_graph6: str
     aut_generators: tuple[Permutation, ...]
     aut_order: int
+    discrete: bool = False
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -87,60 +89,82 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << v for v in vertices)
 
 
-def _refine_cells(adj, cells: list[list[int]], queue: list[int],
-                  trace: list[int], n: int) -> None:
-    """Refine cells in place to the coarsest equitable partition.
+def _equitable(adj, cells: Iterable[Iterable[int]], trace: list[int]):
+    """(lab, cellof, cend, number of cells) of the equitable refinement
+    of ordered cells, in the layout of ``_refine``."""
+    lab, cellof, cend, starts = [], [0] * len(adj), [0] * len(adj), []
+    for cell in cells:
+        starts.append(len(lab))
+        lab += cell
+        for v in cell:
+            cellof[v] = starts[-1]
+        cend[starts[-1]] = len(lab)
+    return lab, cellof, cend, _refine(adj, lab, cellof, cend, starts,
+                                      len(starts), trace)
 
-    ``queue`` holds splitter cells as bitsets (FIFO). Fragments are ordered
-    by ascending neighbour count, which is label-independent, so equivalent
-    branches produce identical traces.
+
+def _refine(adj, lab: list[int], cellof: list[int], cend: list[int],
+            queue: list[int], ncells: int, trace: list[int]) -> int:
+    """Split cells in place until the partition is equitable with respect
+    to the queued cells; returns the number of cells.
+
+    ``lab`` maps position to vertex, ``cellof[v]`` is the start of v's
+    cell and ``cend[s]`` the end of the cell at s. A cell keeps its start
+    when it splits, so the FIFO queue and the trace (split cell, then
+    count and size per fragment in ascending count order) name cells by
+    start. A splitter W is counted only in non-singleton cells holding a
+    neighbour of W, by ascending start. A split cell still queued stays
+    queued and all its other fragments join it. Otherwise the partition is
+    equitable with respect to the whole cell, so counts into its first
+    largest fragment follow from the others and only those are queued
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014); for the
+    same reason a child queues only its individualized {v}.
     """
+    pending = set(queue)
     qi = 0
-    ncells = len(cells)
-    while qi < len(queue):
-        if ncells == n:
-            return
-        w = queue[qi]
+    while qi < len(queue) and ncells < len(lab):
+        s = queue[qi]
         qi += 1
-        ci = 0
-        while ci < len(cells):
-            cell = cells[ci]
-            if len(cell) == 1:
-                ci += 1
-                continue
-            counts = [(adj[v] & w).bit_count() for v in cell]
-            first = counts[0]
-            if all(c == first for c in counts):
-                ci += 1
+        pending.discard(s)
+        w = touched = 0
+        for v in lab[s:cend[s]]:
+            w |= 1 << v
+            touched |= adj[v]
+        for c in sorted({cellof[v] for v in bits(touched)}):
+            if cend[c] - c == 1:
                 continue
             groups: dict[int, list[int]] = {}
-            for v, c in zip(cell, counts):
-                groups.setdefault(c, []).append(v)
+            for v in lab[c:cend[c]]:
+                groups.setdefault((adj[v] & w).bit_count(), []).append(v)
+            if len(groups) == 1:
+                continue
             keys = sorted(groups)
-            frags = [groups[k] for k in keys]
-            cells[ci:ci + 1] = frags
-            ncells += len(frags) - 1
-            trace.append(ci)
+            largest = max((groups[k] for k in keys), key=len)
+            queued = c in pending
+            trace.append(c)
+            start = c
             for k in keys:
                 frag = groups[k]
-                trace.append(k)
-                trace.append(len(frag))
-                queue.append(_mask(frag))
-            ci += len(frags)
-
-
-def _invariant(cells: list[list[int]], trace: list[int]) -> tuple:
-    """Node invariant: cell-size tuple plus a refinement-trace hash."""
-    sizes = tuple(len(c) for c in cells)
-    h = zlib.crc32(b" ".join(b"%d" % t for t in trace))
-    return (sizes, h)
+                end = start + len(frag)
+                lab[start:end] = frag
+                cend[start] = end
+                for v in frag:
+                    cellof[v] = start
+                trace += (k, len(frag))
+                if (start != c) if queued else (frag is not largest):
+                    queue.append(start)
+                    pending.add(start)
+                start = end
+            ncells += len(keys) - 1
+    return ncells
 
 
 def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
-    """Coarsest equitable refinement of p (deterministic given cell order)."""
-    cells = [list(c) for c in p.cells]
-    _refine_cells(g.adj, cells, [_mask(c) for c in cells], [], g.n)
-    return OrderedPartition(tuple(tuple(c) for c in cells))
+    """Coarsest equitable refinement of p, each cell sorted; the order of
+    the cells does not depend on the labels."""
+    lab, cellof, cend, _ = _equitable(g.adj, p.cells, [])
+    return OrderedPartition(tuple(tuple(sorted(lab[s:cend[s]]))
+                                  for s in sorted(set(cellof))))
 
 
 class _Leaf(NamedTuple):
@@ -157,9 +181,9 @@ class _Search:
 
     ``zeta`` is the first leaf, against which automorphisms are detected;
     ``rho`` is the best leaf, the greatest by (path, payload), which gives
-    the canonical form. Each is a ``_Leaf`` record of its invariant path,
-    graph6 payload, labelling (position -> vertex) and individualized
-    prefix.
+    the canonical form. Each is a ``_Leaf`` record of its path of
+    refinement traces, graph6 payload, labelling (position -> vertex) and
+    individualized prefix.
     """
 
     def __init__(self, g: Graph):
@@ -173,11 +197,60 @@ class _Search:
         self.jump_to: Optional[int] = None
 
     def run(self, initial: OrderedPartition) -> None:
-        cells = [list(c) for c in initial.cells]
+        """Walk the tree depth first. stack[d] is the open node with prefix
+        prefix[:d]: its partition, target cell, targets, untried targets,
+        children entered, and whether it lies on the first path."""
         trace: list[int] = []
-        _refine_cells(self.adj, cells, [_mask(c) for c in cells], trace,
-                      self.n)
-        self._node(cells, [_invariant(cells, trace)], [])
+        node = _equitable(self.adj, initial.cells, trace)
+        path, prefix, stack = [tuple(trace)], [], []
+        while node or stack:
+            if node:
+                lab, _, cend, ncells = node
+                if ncells == self.n:
+                    self._leaf(lab, path, prefix)
+                else:  # the first largest cell (a fixed rule, for determinism)
+                    t = size = s = 0
+                    while s < self.n:
+                        if cend[s] - s > size:
+                            t, size = s, cend[s] - s
+                        s = cend[s]
+                    targets = sorted(lab[t:cend[t]])
+                    stack.append((node, t, targets, iter(targets), set(),
+                                  self.zeta is None))
+                node = None
+                continue
+            part, t, targets, untried, done, first_path = stack[-1]
+            if len(prefix) == len(stack):  # back from a child
+                prefix.pop()
+                path.pop()
+                if self.jump_to is not None:
+                    # A discovered automorphism maps the remaining subtrees
+                    # onto explored ones: unwind to the deepest common
+                    # ancestor with the matched leaf.
+                    if len(prefix) > self.jump_to:
+                        stack.pop()
+                        continue
+                    self.jump_to = None
+            for v in untried:
+                if done and not done.isdisjoint(self._orbit(prefix, v)):
+                    continue
+                done.add(v)
+                child, trace = self._child(part, t, v)
+                path.append(trace)
+                k = len(path)
+                if (self.zeta is None or path == self.zeta.path[:k]
+                        or path >= self.rho.path[:k]):
+                    prefix.append(v)
+                    node = child
+                    break
+                path.pop()
+            else:
+                if first_path:
+                    # A backjump never unwinds past an open first-path node,
+                    # so every sibling of the first child was explored or
+                    # pruned here.
+                    self.order *= len(self._orbit(prefix, targets[0]))
+                stack.pop()
 
     def _orbit(self, prefix: list[int], v: int) -> set[int]:
         """The orbit of v under the automorphisms found so far that fix
@@ -185,42 +258,18 @@ class _Search:
         return orbit_of([g for g in self.gens
                          if all(g[b] == b for b in prefix)], v)
 
-    def _node(self, cells: list[list[int]], path: list[tuple],
-              prefix: list[int]) -> None:
-        if len(cells) == self.n:
-            self._leaf(cells, path, prefix)
-            return
-        # the first largest cell (a fixed rule, for determinism)
-        ti = max(range(len(cells)), key=lambda i: len(cells[i]))
-        first_path = self.zeta is None
-        targets = sorted(cells[ti])
-        done: set[int] = set()
-        for v in targets:
-            if done and not done.isdisjoint(self._orbit(prefix, v)):
-                continue
-            done.add(v)
-            child = [list(c) for c in cells]
-            rest = [u for u in child[ti] if u != v]
-            child[ti:ti + 1] = [[v], rest]
-            trace: list[int] = [ti]
-            _refine_cells(self.adj, child, [1 << v, _mask(rest)], trace, self.n)
-            path.append(_invariant(child, trace))
-            k = len(path)
-            if (self.zeta is None or path == self.zeta.path[:k]
-                    or path >= self.rho.path[:k]):
-                self._node(child, path, prefix + [v])
-            path.pop()
-            if self.jump_to is not None:
-                # A discovered automorphism showed the remaining siblings'
-                # subtrees are images of already-explored ones; unwind to
-                # the deepest common ancestor with the matched leaf's path.
-                if len(prefix) > self.jump_to:
-                    return
-                self.jump_to = None
-        if first_path:
-            # A backjump never unwinds past an open first-path node, so every
-            # sibling of the first child has been explored or pruned here.
-            self.order *= len(self._orbit(prefix, targets[0]))
+    def _child(self, part: tuple, t: int, v: int) -> tuple[tuple, tuple]:
+        """Partition and trace after individualizing v in the cell at t."""
+        (lab, cellof, cend), ncells = [x[:] for x in part[:3]], part[3]
+        e = cend[t]
+        i = lab.index(v, t, e)
+        lab[i], lab[t] = lab[t], v
+        cend[t], cend[t + 1] = t + 1, e
+        for u in lab[t + 1:e]:
+            cellof[u] = t + 1
+        trace: list[int] = []
+        ncells = _refine(self.adj, lab, cellof, cend, [t], ncells + 1, trace)
+        return (lab, cellof, cend, ncells), tuple(trace)
 
     def _match(self, ref: _Leaf, leaf: _Leaf) -> Optional[int]:
         """When leaf has ref's path and graph, record the automorphism
@@ -239,10 +288,10 @@ class _Search:
             depth += 1
         return depth
 
-    def _leaf(self, cells: list[list[int]], path: list[tuple],
+    def _leaf(self, lab: list[int], path: list[tuple],
               prefix: list[int]) -> None:
-        lab = [c[0] for c in cells]
-        leaf = _Leaf(list(path), graph6_payload(self.adj, lab), lab, prefix)
+        leaf = _Leaf(list(path), graph6_payload(self.adj, lab), lab,
+                     list(prefix))
         if self.zeta is None:
             self.zeta = self.rho = leaf
             return
@@ -369,7 +418,8 @@ def canonical_form(g: Graph,
         relabeling=Permutation(relab),
         canonical_graph6=canon6,
         aut_generators=tuple(Permutation(s) for s in gens),
-        aut_order=order)
+        aut_order=order,
+        discrete=not (quotient or search.zeta.prefix))
     if not colored:
         g._cache["canon"] = cf
     return cf

@@ -226,6 +226,13 @@ def stability_report(g: Graph) -> StabilityReport:
     Trivially unstable reasons are all reported even when several apply;
     the report always carries exact orders, also for bipartite or
     disconnected inputs.
+
+    Lemma: if the coarsest equitable partition of a connected non-bipartite
+    X is discrete, then |Aut(X)| = 1 and |Aut(BX)| = 2, and no cover is
+    searched. The layer swap maps the coarsest equitable refinement R of
+    BX's layers to itself, so R cuts both layers into one partition of X.
+    It is equitable, so it refines X's discrete one: layer-preserving
+    automorphisms of BX fix every cell of R, a single vertex.
     """
     if g.n == 0:
         raise ValueError("stability is undefined for the empty graph")
@@ -238,9 +245,10 @@ def stability_report(g: Graph) -> StabilityReport:
     if not connected:
         aut_x, aut_bx = _component_orders(g)
     else:
-        aut_x = canonical_form(g).aut_order
-        # BX is two copies of a bipartite X
-        aut_bx = 2 * (aut_x ** 2 if bipartite
+        cf = canonical_form(g)
+        aut_x = cf.aut_order
+        # BX is two copies of a bipartite X; the lemma covers discrete X
+        aut_bx = 2 * (aut_x ** 2 if bipartite else 1 if cf.discrete
                       else _layered_cover_form(g).aut_order)
     expected = 2 * aut_x
     if aut_bx % expected:

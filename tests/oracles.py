@@ -143,6 +143,27 @@ def expected_group(d):
     return grp
 
 
+def colour_refinement(g, cells):
+    """The coarsest equitable partition refining cells, as a set of
+    frozensets: recolour every vertex by its colour and the multiset of its
+    neighbours' colours until the number of colours stops growing."""
+    colour = {v: i for i, cell in enumerate(cells) for v in cell}
+    count = len(set(colour.values()))
+    while True:
+        sig = {v: (colour[v], tuple(sorted(colour[u] for u in range(g.n)
+                                           if g.has_edge(u, v))))
+               for v in range(g.n)}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[sig[v]] for v in range(g.n)}
+        if len(rank) == count:
+            break
+        count = len(rank)
+    classes = {}
+    for v, c in colour.items():
+        classes.setdefault(c, set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
 def naive_closure(gens, n):
     """Every element of the generated group, by breadth-first products."""
     start = tuple(range(n))

@@ -14,7 +14,7 @@ from coverstab.families import (complete_graph, cycle, petersen, johnson,
 
 from oracles import (brute_force_aut_count, brute_force_automorphisms,
                      backtrack_aut_count, naive_closure, complement,
-                     line_graph, random_graph)
+                     line_graph, random_graph, colour_refinement)
 
 
 class TestRefine:
@@ -62,6 +62,64 @@ class TestRefine:
             p1 = refine(g, OrderedPartition.unit(8))
             p2 = refine(g, OrderedPartition.unit(8))
             assert p1 == p2
+
+    def test_coarsest_equitable_on_small_graphs(self, graphs_by_order):
+        # against naive colour refinement, from one colour and from seeded
+        # colourings of two or three cells
+        rng = random.Random(5)
+        for n in range(1, 8):
+            for g in graphs_by_order[n]:
+                starts = [OrderedPartition.unit(n)]
+                if n > 2:
+                    starts += [random_colouring(rng, n, 2) for _ in range(2)]
+                for p in starts:
+                    assert (set(map(frozenset, refine(g, p).cells))
+                            == colour_refinement(g, p.cells))
+
+    def test_coarsest_equitable_on_large_graphs(self):
+        rng = random.Random(6)
+        cube = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                         if (u ^ v).bit_count() == 1])
+        graphs = [lex_product(cycle(9), cube),
+                  random_graph(rng, 150), random_graph(rng, 150)]
+        for g in graphs:
+            for p in (OrderedPartition.unit(g.n), random_colouring(rng, g.n, 2)):
+                assert (set(map(frozenset, refine(g, p).cells))
+                        == colour_refinement(g, p.cells))
+
+    def test_cells_are_label_independent(self, graphs_by_order):
+        # refining a relabelled graph from the relabelled partition gives
+        # the relabelled cells in the same order
+        rng = random.Random(7)
+        graphs = graphs_by_order[6] + graphs_by_order[7][::4]
+        graphs += [lex_product(cycle(5), cycle(4)), petersen()]
+        for g in graphs:
+            images = list(range(g.n))
+            rng.shuffle(images)
+            for p in (OrderedPartition.unit(g.n), random_colouring(rng, g.n, 2)):
+                moved = OrderedPartition.from_cells(
+                    [[images[v] for v in cell] for cell in p.cells], g.n)
+                assert refine(g.relabel(images), moved).cells == tuple(
+                    tuple(sorted(images[v] for v in cell))
+                    for cell in refine(g, p).cells)
+
+    def test_search_refines_after_each_individualization(self, graphs_by_order):
+        # the first leaf lies at the first depth at which the coarsest
+        # equitable partition with the prefix singled out is discrete
+        graphs = graphs_by_order[7][::7] + [petersen(), johnson(6, 2),
+                                            lex_product(cycle(5), cycle(4))]
+        for g in graphs:
+            search = aut._Search(g)
+            search.run(OrderedPartition.unit(g.n))
+            prefix = search.zeta.prefix
+
+            def discrete(k):
+                rest = [v for v in range(g.n) if v not in prefix[:k]]
+                cells = [[v] for v in prefix[:k]] + ([rest] if rest else [])
+                return len(colour_refinement(g, cells)) == g.n
+
+            assert discrete(len(prefix))
+            assert not prefix or not discrete(len(prefix) - 1)
 
 
 class TestAutomorphismGroup:
@@ -327,11 +385,11 @@ def twin_rich_graphs(rng):
     return graphs
 
 
-def random_colouring(rng, n):
-    """A random ordered partition of range(n) into 1-3 cells."""
+def random_colouring(rng, n, fewest=1):
+    """A random ordered partition of range(n) into fewest to 3 cells."""
     order = list(range(n))
     rng.shuffle(order)
-    k = rng.randint(1, min(3, n))
+    k = rng.randint(fewest, min(3, n))
     cuts = sorted(rng.sample(range(1, n), k - 1))
     return OrderedPartition.from_cells(
         [order[a:b] for a, b in zip([0] + cuts, cuts + [n])], n)

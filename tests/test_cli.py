@@ -78,6 +78,32 @@ class TestAnalyze:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_deep_search_under_a_low_recursion_limit(self):
+        # 30 shuffled C5s put 60 individualizations on the search's first
+        # path, which a search recursing once per level cannot take under
+        # a limit of 60 frames
+        script = textwrap.dedent("""
+            import math, random, sys
+            from coverstab.aut import canonical_form
+            from coverstab.cli import run
+            from coverstab.graph_core import Graph, write_graph6
+            images = list(range(150))
+            random.Random(5).shuffle(images)
+            g = Graph(150, [(images[5 * k + i], images[5 * k + (i + 1) % 5])
+                            for k in range(30) for i in range(5)])
+            sys.setrecursionlimit(60)
+            print(canonical_form(g).aut_order, file=sys.stderr)
+            sys.exit(run(["analyze", write_graph6(g)]))
+            """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=subprocess_env(), capture_output=True,
+                              text=True, timeout=60)
+        order = str(10 ** 30 * math.factorial(30))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[0] == order
+        assert json.loads(proc.stdout)["aut_x_order"] == order
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
         code, out, _ = invoke(capsys, "analyze", "-")

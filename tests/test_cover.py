@@ -7,7 +7,9 @@ import pytest
 from coverstab import cover, perms
 from coverstab.graph_core import Graph, is_connected, is_bipartite, has_twins
 from coverstab.perms import Permutation
-from coverstab.aut import automorphism_group, are_isomorphic, canonical_form
+from coverstab.aut import (OrderedPartition, automorphism_group,
+                           are_isomorphic, canonical_form, refine)
+from coverstab.census import enumerate_graphs
 from coverstab.cover import (DoubleCover, double_cover, lift, tau, is_expected,
                              is_fiber_preserving, is_cover_automorphism,
                              stability_report,
@@ -261,6 +263,27 @@ class TestStabilityReport:
         for g in layered + bipartite[:3] + disconnected[:3]:
             full = automorphism_group(double_cover(g).cover).order()
             assert stability_report(g).aut_bx_order == full
+
+    def test_discrete_refinement_fast_path(self, graphs_by_order):
+        # a connected non-bipartite X whose coarsest equitable partition is
+        # discrete gets |Aut(BX)| = 2 with no cover search; the layered
+        # cover search is the reference on every such graph of order <= 8
+        orders = {**graphs_by_order, 8: list(enumerate_graphs(8))}
+        fast = []
+        for n, graphs in sorted(orders.items()):
+            fast.append(0)
+            for g in graphs:
+                if not is_connected(g) or is_bipartite(g):
+                    continue
+                cf = canonical_form(g)
+                unit = OrderedPartition.unit(n)
+                assert cf.discrete == refine(g, unit).is_discrete
+                if cf.discrete:
+                    fast[-1] += 1
+                    report = stability_report(g)
+                    assert (report.aut_x_order, report.aut_bx_order) == (1, 2)
+                    assert cover._layered_cover_form(g).aut_order == 1
+        assert fast == [0, 0, 0, 0, 0, 8, 141, 3544]
 
     def test_cover_order_matches_vf2(self, graphs_by_order):
         # networkx's VF2 enumerates cover automorphisms independently of the
