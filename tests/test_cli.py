@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -103,6 +104,18 @@ class TestAnalyze:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[0] == order
         assert json.loads(proc.stdout)["aut_x_order"] == order
+
+    def test_repeated_commands_share_one_parser(self, capsys):
+        # options of one call do not leak into the next, and no call after
+        # the first, which builds the parser, leaves reference cycles for
+        # the collector
+        invoke(capsys, "analyze", "Bw")
+        gc.collect()
+        for argv in (["analyze", "--criteria", "Bw"], ["analyze", "Bw"]):
+            code, out, _ = invoke(capsys, *argv)
+            assert code == EXIT_OK
+            assert gc.collect() == 0
+        assert "criteria" not in json.loads(out)
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
