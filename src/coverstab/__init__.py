@@ -7,10 +7,9 @@ criteria and constructions that govern it, and reproduces the census of
 non-trivially unstable graphs at small orders.
 """
 
-from .graph_core import (Graph, GraphParseError, DistancePartition,
-                         StructuralProfile, parse_graph6, write_graph6,
-                         distance_partition, structural_profile,
-                         common_neighbors, induced_subgraph)
+from .graph_core import (Graph, GraphParseError, StructuralProfile,
+                         parse_graph6, write_graph6, structural_profile,
+                         induced_subgraph)
 from .perms import Permutation, compose, inverse, identity
 from .aut import (OrderedPartition, CanonicalForm, refine, canonical_form,
                   are_isomorphic, vertex_orbits)

@@ -11,8 +11,7 @@ vertex is the candidate of highest canonical position, and a child is
 accepted exactly when the new vertex lies in its automorphism orbit. A
 child is labelled only when the new vertex ties with another candidate.
 The last order is yielded as it is generated, so the census classifies
-while generation runs. The labeled-enumeration + canonical-dedup path
-exists as the slow reference oracle for cross-validation.
+while generation runs.
 """
 
 from __future__ import annotations
@@ -68,26 +67,18 @@ def _subset_orbit_reps(m: int, gens) -> list[int]:
     total = 1 << m
     if not gens:
         return list(range(total))
-    seen = bytearray(total)
-    reps = []
+    actions = []
+    for g in gens:
+        img = [0] * total
+        for mask in range(1, total):
+            low = mask & -mask
+            img[mask] = img[mask ^ low] | 1 << g[low.bit_length() - 1]
+        actions.append(img)
+    reps, seen = [], set()
     for mask in range(total):
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        stack = [mask]
-        seen[mask] = 1
-        while stack:
-            cur = stack.pop()
-            for g in gens:
-                img = 0
-                rem = cur
-                while rem:
-                    low = rem & -rem
-                    img |= 1 << g[low.bit_length() - 1]
-                    rem ^= low
-                if not seen[img]:
-                    seen[img] = 1
-                    stack.append(img)
+        if mask not in seen:
+            reps.append(mask)
+            seen |= orbit_of(actions, mask)
     return reps
 
 
@@ -170,24 +161,6 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         raise SoundnessError(
             f"generated {count} graphs of order {n}, "
             f"not {KNOWN_GRAPH_COUNTS[n]}")
-
-
-def enumerate_graphs_naive(n: int) -> list[Graph]:
-    """Reference path: all labeled graphs deduplicated by canonical form.
-
-    Exponential in n**2; usable to n = 6 as the cross-validation oracle.
-    """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    seen = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in bits(mask)]
-        g = Graph(n, edges)
-        key = canonical_form(g).canonical_graph6
-        if key not in seen:
-            seen[key] = g
-    return list(seen.values())
 
 
 def stream_graph6(lines: Iterable[str]) -> Iterator[Graph]:

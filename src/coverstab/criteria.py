@@ -271,19 +271,6 @@ def check_triangle_free_diam2(g: Graph) -> CriterionVerdict:
     return CriterionVerdict(crit, True, (), "stable")
 
 
-def second_shell_split(g: Graph, x: int) -> tuple[frozenset, frozenset]:
-    """Split the distance-2 shell of x into the vertices having a neighbour
-    inside the shell and the rest.
-
-    For connected non-bipartite triangle-free graphs of diameter 2 the
-    first part is never empty (otherwise the shell plus neighbourhood
-    structure would 2-color the graph); the suite asserts this.
-    """
-    shell = (distance_layers(g, x) + (0, 0))[2]
-    inner = frozenset(v for v in bits(shell) if g.adj[v] & shell)
-    return inner, frozenset(bits(shell)) - inner
-
-
 def check_srg_triangle_free(g: Graph) -> CriterionVerdict:
     """Strongly regular, k > mu and lambda = 0 imply stability."""
     crit = "srg-triangle-free"

@@ -135,19 +135,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DistancePartition:
-    """BFS layers around ``source``: layers[i] = vertices at distance i."""
-
-    source: int
-    layers: tuple[frozenset, ...]
-    unreachable: frozenset
-
-    @property
-    def eccentricity(self) -> int:
-        return len(self.layers) - 1
-
-
-@dataclass(frozen=True)
 class StructuralProfile:
     """Cheap structure facts of one graph, bundled for callers of the
     library; the criteria checkers test their hypotheses directly.
@@ -299,17 +286,6 @@ def bfs_distances(g: Graph, x: int) -> list[int]:
     return dist
 
 
-def distance_partition(g: Graph, x: int) -> DistancePartition:
-    """BFS layers X_0(x), X_1(x), ... plus the unreachable remainder."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    shells = distance_layers(g, x)
-    return DistancePartition(
-        source=x,
-        layers=tuple(frozenset(bits(layer)) for layer in shells),
-        unreachable=frozenset(bits((1 << g.n) - 1 - sum(shells))))
-
-
 def is_connected(g: Graph) -> bool:
     """The layers around vertex 0 cover every vertex."""
     return g.n == 0 or sum(distance_layers(g, 0)) == (1 << g.n) - 1
@@ -384,13 +360,6 @@ def structural_profile(g: Graph) -> StructuralProfile:
         twin_free=not has_twins(g),
         every_edge_on_triangle=every_on_triangle,
         triangle_free=triangle_free)
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> frozenset:
-    """N(u) ∩ N(v) for distinct vertices u, v."""
-    if u == v:
-        raise ValueError("common_neighbors requires distinct vertices")
-    return frozenset(bits(g.adj[u] & g.adj[v]))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict]:

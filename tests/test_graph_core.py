@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverstab.graph_core import (Graph, GraphParseError, parse_graph6,
-                                  write_graph6, distance_partition,
-                                  structural_profile, common_neighbors,
-                                  induced_subgraph, has_twins, diameter,
-                                  is_connected, is_bipartite, bfs_distances)
+                                  write_graph6, distance_layers,
+                                  structural_profile, induced_subgraph,
+                                  has_twins, diameter, is_connected,
+                                  is_bipartite, bfs_distances)
 from coverstab.families import complete_graph, cycle, petersen, johnson
 from coverstab.aut import vertex_orbits
 
@@ -130,20 +130,20 @@ class TestGraphType:
 
 
 class TestDistancePartition:
+    # distance_layers(g, x)[i] is the bitset of vertices at distance i
     def test_cycle_layers(self):
-        dp = distance_partition(cycle(5), 0)
-        assert [len(layer) for layer in dp.layers] == [1, 2, 2]
-        assert dp.eccentricity == 2
-        assert not dp.unreachable
+        layers = distance_layers(cycle(5), 0)
+        assert [layer.bit_count() for layer in layers] == [1, 2, 2]
+        assert len(layers) - 1 == 2
+        assert sum(layers) == (1 << 5) - 1
 
     def test_complete_layers(self):
-        dp = distance_partition(k(4), 2)
-        assert [len(layer) for layer in dp.layers] == [1, 3]
+        layers = distance_layers(k(4), 2)
+        assert [layer.bit_count() for layer in layers] == [1, 3]
 
     def test_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        dp = distance_partition(g, 0)
-        assert dp.unreachable == frozenset({2, 3})
+        assert (1 << 4) - 1 - sum(distance_layers(g, 0)) == 0b1100
 
     def test_against_naive_all_pairs(self):
         rng = random.Random(13)
@@ -152,12 +152,12 @@ class TestDistancePartition:
             g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             dist = naive_all_pairs_distances(g)
             for x in range(n):
-                dp = distance_partition(g, x)
+                layers = distance_layers(g, x)
                 for v in range(n):
                     if dist[x][v] == float("inf"):
-                        assert v in dp.unreachable
+                        assert not any(layer >> v & 1 for layer in layers)
                     else:
-                        assert v in dp.layers[int(dist[x][v])]
+                        assert layers[int(dist[x][v])] >> v & 1
 
 
 class TestStructuralProfile:
@@ -185,7 +185,7 @@ class TestStructuralProfile:
         rng = random.Random(5)
         for _ in range(200):
             g = random_graph(rng, rng.randrange(2, 9))
-            on_triangle = [bool(common_neighbors(g, u, v)) for u, v in g.edges()]
+            on_triangle = [bool(g.adj[u] & g.adj[v]) for u, v in g.edges()]
             p = structural_profile(g)
             assert p.every_edge_on_triangle == all(on_triangle)
             assert p.triangle_free == (not any(on_triangle))
@@ -196,20 +196,18 @@ class TestStructuralProfile:
 
 
 class TestCommonNeighbors:
+    # the common neighbours of u and v are the bitset adj[u] & adj[v]
     def test_complete(self):
-        assert len(common_neighbors(k(4), 0, 1)) == 2
+        g = k(4)
+        assert (g.adj[0] & g.adj[1]).bit_count() == 2
 
     def test_johnson_counts(self):
         g = johnson(7, 2)
-        adjacent = next(iter(g.edges()))
-        assert len(common_neighbors(g, *adjacent)) == 5
-        far = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                   if not g.has_edge(u, v))
-        assert len(common_neighbors(g, *far)) == 4
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            common_neighbors(k(3), 1, 1)
+        u, v = next(iter(g.edges()))
+        assert (g.adj[u] & g.adj[v]).bit_count() == 5
+        u, v = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                    if not g.has_edge(u, v))
+        assert (g.adj[u] & g.adj[v]).bit_count() == 4
 
 
 class TestInducedSubgraph:

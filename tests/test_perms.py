@@ -20,6 +20,16 @@ def perms(draw, max_n=9):
     return Permutation(images)
 
 
+def sparse_perm(rng, n):
+    """A random permutation of a random subset of 0..n-1, fixing the rest,
+    so that generated groups range from cyclic to S_n."""
+    support = rng.sample(range(n), rng.randrange(2, n + 1))
+    images = list(range(n))
+    for a, b in zip(support, rng.sample(support, len(support))):
+        images[a] = b
+    return Permutation(images)
+
+
 def random_gens(rng, n, count):
     out = []
     for _ in range(count):
@@ -148,3 +158,31 @@ class TestGroupQueries:
         assert orbit_of(fix, 0) == {0}
         assert orbit_of(fix, 1) == {1, 2}
         assert orbit_of([], 3) == {3}
+
+
+class TestDeepBases:
+    def test_random_groups_match_sympy(self):
+        # sympy's Schreier-Sims is independent of perms; degrees 8-14 give
+        # bases of up to 13 points
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(59)
+        outside = 0
+        for _ in range(40):
+            n = rng.randrange(8, 15)
+            gens = [sparse_perm(rng, n) for _ in range(rng.randrange(1, 4))]
+            g = group_from_generators(gens, n)
+            ref = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(p.images)) for p in gens])
+            assert g.order() == ref.order()
+            for _ in range(3):
+                word = identity(n)
+                for _ in range(rng.randrange(1, 8)):
+                    word = compose(word, rng.choice(gens))
+                assert g.contains(word)
+            for _ in range(3):
+                images = list(range(n))
+                rng.shuffle(images)
+                member = ref.contains(combinatorics.Permutation(images))
+                assert g.contains(Permutation(images)) == member
+                outside += not member
+        assert outside >= 60
