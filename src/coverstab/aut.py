@@ -6,16 +6,20 @@ branch on vertices of a deterministically chosen target cell, and keep two
 reference leaves (the first leaf for automorphism detection, the best leaf
 for the canonical form), walking the tree with an explicit stack. Each
 node refines one array of cells in place (``_refine``), and its exact
-refinement trace is its invariant. Pruning uses these path invariants plus
-orbit pruning under the already-discovered automorphisms that fix the
-branching prefix. Skipped branches are provably equivalent to explored ones.
+refinement trace is its invariant. Leaves compare by path, then by their
+relabelled rows, built only when a reference leaf has the same path. Each
+open node keeps a union-find of its orbits under the automorphisms found
+that fix its prefix, fed only the generators found since it last looked,
+and tries the least vertex of each orbit. Skipped branches are provably
+equivalent to explored ones.
 
 The group order is read off the search tree, as nauty does: when a node on
 the first path has explored all its children, the automorphisms found that
 fix its prefix generate its stabilizer, so |Aut| is the product over the
 first path of the orbit sizes of its individualized vertices. Vertex
 orbits are the orbits of the generators the search found. Schreier-Sims
-(``automorphism_group``) only cross-checks the order.
+(``automorphism_group``) only cross-checks the order. graph6 is encoded
+only when ``canonical_graph6`` is read.
 
 Twins are collapsed before the search: ``canonical_form`` merges every
 class of open twins (equal neighbourhoods) and of closed twins (equal
@@ -29,13 +33,14 @@ edgeless graph, a star or K_n is searched as at most two vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
-from .graph_core import (Graph, SoundnessError, bits, graph6_payload,
-                         graph6_size_prefix, has_twins)
-from . import perms
+from .graph_core import (Graph, SoundnessError, bits, graph6_size_prefix,
+                         has_twins)
+from . import graph_core, perms
 from .perms import Permutation, orbit_of
 
 
@@ -73,15 +78,22 @@ class CanonicalForm:
     ``aut_order`` is the order of the group the generators generate. For
     a graph with twins the generators are the twin-free quotient's, lifted
     block by block, and a transposition and a cycle of each merged twin
-    class. ``discrete``: refinement alone made the initial partition
-    discrete (one leaf, no twins).
+    class. ``adj`` is the input graph's adjacency, kept by reference.
+    ``discrete``: refinement alone made the initial partition discrete
+    (one leaf, no twins).
     """
 
     relabeling: Permutation
-    canonical_graph6: str
     aut_generators: tuple[Permutation, ...]
     aut_order: int
+    adj: tuple[int, ...] = field(repr=False, compare=False)
     discrete: bool = False
+
+    @cached_property
+    def canonical_graph6(self) -> str:
+        """graph6 of the relabelled input, encoded when first read."""
+        return (graph6_size_prefix(len(self.adj)) + graph_core.graph6_payload(
+            self.adj, self.relabeling.inverse().images)).decode("ascii")
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -112,13 +124,14 @@ def _refine(adj, lab: list[int], cellof: list[int], cend: list[int],
     cell and ``cend[s]`` the end of the cell at s. A cell keeps its start
     when it splits, so the FIFO queue and the trace (split cell, then
     count and size per fragment in ascending count order) name cells by
-    start. A splitter W is counted only in non-singleton cells holding a
-    neighbour of W, by ascending start. A split cell still queued stays
-    queued and all its other fragments join it. Otherwise the partition is
-    equitable with respect to the whole cell, so counts into its first
-    largest fragment follow from the others and only those are queued
-    (McKay & Piperno, "Practical graph isomorphism, II", 2014); for the
-    same reason a child queues only its individualized {v}.
+    start. A splitter W is counted in each non-singleton cell holding a
+    neighbour of W as a lowest-bit walk over the neighbours meets it, and
+    those cells then split by ascending start. A split cell still queued
+    stays queued and all its other fragments join it. Otherwise the
+    partition is equitable with respect to the whole cell, so counts into
+    its first largest fragment follow from the others and only those are
+    queued (McKay & Piperno, "Practical graph isomorphism, II", 2014); for
+    the same reason a child queues only its individualized {v}.
     """
     pending = set(queue)
     qi = 0
@@ -130,14 +143,23 @@ def _refine(adj, lab: list[int], cellof: list[int], cend: list[int],
         for v in lab[s:cend[s]]:
             w |= 1 << v
             touched |= adj[v]
-        for c in sorted({cellof[v] for v in bits(touched)}):
+        splits: dict[int, dict[int, list[int]]] = {}
+        while touched:
+            v = (touched & -touched).bit_length() - 1
+            c = cellof[v]
             if cend[c] - c == 1:
+                touched ^= 1 << v
                 continue
             groups: dict[int, list[int]] = {}
+            cell = 0
             for v in lab[c:cend[c]]:
+                cell |= 1 << v
                 groups.setdefault((adj[v] & w).bit_count(), []).append(v)
-            if len(groups) == 1:
-                continue
+            touched &= ~cell
+            if len(groups) > 1:
+                splits[c] = groups
+        for c in sorted(splits):
+            groups = splits[c]
             keys = sorted(groups)
             largest = max((groups[k] for k in keys), key=len)
             queued = c in pending
@@ -167,29 +189,37 @@ def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
                                   for s in sorted(set(cellof))))
 
 
-class _Leaf(NamedTuple):
+def _root(uf: dict[int, int], v: int) -> int:
+    """The root of v in the union-find uf, halving the path."""
+    while uf[v] != v:
+        uf[v] = v = uf[uf[v]]
+    return v
+
+
+@dataclass(slots=True, eq=False)
+class _Leaf:
     """A leaf of the search tree, as ``_Search`` records it."""
 
     path: list[tuple]
-    payload: bytes
     lab: list[int]
     prefix: list[int]
+    cert: Optional[tuple[int, ...]] = None  # built by ``_Search._cert``
 
 
 class _Search:
     """One individualization-refinement run over a fixed graph.
 
     ``zeta`` is the first leaf, against which automorphisms are detected;
-    ``rho`` is the best leaf, the greatest by (path, payload), which gives
-    the canonical form. Each is a ``_Leaf`` record of its path of
-    refinement traces, graph6 payload, labelling (position -> vertex) and
-    individualized prefix.
+    ``rho`` is the best leaf, the greatest by (path, certificate), which
+    gives the canonical form. A leaf's certificate is built only when its
+    path equals one of theirs, and is dropped with the leaf.
     """
 
     def __init__(self, g: Graph):
         self.adj = g.adj
         self.n = g.n
         self.gens: list[tuple[int, ...]] = []
+        self.moved: list[int] = []  # the bitset each generator moves
         self.zeta: Optional[_Leaf] = None
         self.rho: Optional[_Leaf] = None
         self.order = 1
@@ -199,7 +229,8 @@ class _Search:
     def run(self, initial: OrderedPartition) -> None:
         """Walk the tree depth first. stack[d] is the open node with prefix
         prefix[:d]: its partition, target cell, targets, untried targets,
-        children entered, and whether it lies on the first path."""
+        orbit union-find and generators seen (``_orbits``), and whether it
+        lies on the first path."""
         trace: list[int] = []
         node = _equitable(self.adj, initial.cells, trace)
         path, prefix, stack = [tuple(trace)], [], []
@@ -215,11 +246,13 @@ class _Search:
                             t, size = s, cend[s] - s
                         s = cend[s]
                     targets = sorted(lab[t:cend[t]])
-                    stack.append((node, t, targets, iter(targets), set(),
-                                  self.zeta is None))
+                    stack.append([node, t, targets, iter(targets),
+                                  dict(zip(targets, targets)), 0,
+                                  self.zeta is None])
                 node = None
                 continue
-            part, t, targets, untried, done, first_path = stack[-1]
+            top = stack[-1]
+            part, t, targets, untried = top[:4]
             if len(prefix) == len(stack):  # back from a child
                 prefix.pop()
                 path.pop()
@@ -232,9 +265,9 @@ class _Search:
                         continue
                     self.jump_to = None
             for v in untried:
-                if done and not done.isdisjoint(self._orbit(prefix, v)):
+                # targets ascend, so an orbit's least vertex stands for it
+                if v != targets[0] and _root(self._orbits(top, prefix), v) != v:
                     continue
-                done.add(v)
                 child, trace = self._child(part, t, v)
                 path.append(trace)
                 k = len(path)
@@ -245,18 +278,32 @@ class _Search:
                     break
                 path.pop()
             else:
-                if first_path:
+                if top[6]:
                     # A backjump never unwinds past an open first-path node,
                     # so every sibling of the first child was explored or
                     # pruned here.
-                    self.order *= len(self._orbit(prefix, targets[0]))
+                    uf = self._orbits(top, prefix)
+                    self.order *= sum(_root(uf, v) == targets[0]
+                                      for v in targets)
                 stack.pop()
 
-    def _orbit(self, prefix: list[int], v: int) -> set[int]:
-        """The orbit of v under the automorphisms found so far that fix
-        prefix pointwise."""
-        return orbit_of([g for g in self.gens
-                         if all(g[b] == b for b in prefix)], v)
+    def _orbits(self, top: list, prefix: list[int]) -> dict[int, int]:
+        """top's orbits on its targets under the automorphisms found that
+        fix its prefix, as a union-find rooted at least vertices; merges in
+        only the generators found since top last looked."""
+        uf, seen = top[4], top[5]
+        if seen < len(self.gens):
+            fixed = _mask(prefix)
+            for g, moved in zip(self.gens[seen:], self.moved[seen:]):
+                if moved & fixed:
+                    continue
+                for v in top[2]:
+                    if g[v] != v:
+                        a, b = _root(uf, v), _root(uf, g[v])
+                        if a != b:
+                            uf[max(a, b)] = min(a, b)
+            top[5] = len(self.gens)
+        return uf
 
     def _child(self, part: tuple, t: int, v: int) -> tuple[tuple, tuple]:
         """Partition and trace after individualizing v in the cell at t."""
@@ -271,18 +318,32 @@ class _Search:
         ncells = _refine(self.adj, lab, cellof, cend, [t], ncells + 1, trace)
         return (lab, cellof, cend, ncells), tuple(trace)
 
+    def _cert(self, leaf: _Leaf) -> tuple[int, ...]:
+        """leaf's certificate, built on first use: the rows, as bitsets of
+        positions, of the graph relabelled so that leaf.lab[i] becomes i."""
+        if leaf.cert is None:
+            pos = {v: i for i, v in enumerate(leaf.lab)}
+            rows = []
+            for v in leaf.lab:
+                row, rest = 0, self.adj[v]
+                while rest:
+                    low = rest & -rest
+                    row |= 1 << pos[low.bit_length() - 1]
+                    rest ^= low
+                rows.append(row)
+            leaf.cert = tuple(rows)
+        return leaf.cert
+
     def _match(self, ref: _Leaf, leaf: _Leaf) -> Optional[int]:
         """When leaf has ref's path and graph, record the automorphism
         ref.lab -> leaf.lab and return the depth of the deepest common
         ancestor of the two leaves; otherwise None."""
-        if leaf[:2] != ref[:2]:
+        if leaf.path != ref.path or self._cert(leaf) != self._cert(ref):
             return None
-        sigma = [0] * self.n
-        for ref_v, v in zip(ref.lab, leaf.lab):
-            sigma[ref_v] = v
-        sig = tuple(sigma)
+        sig = tuple(v for _, v in sorted(zip(ref.lab, leaf.lab)))
         if sig not in self.gens:
             self.gens.append(sig)
+            self.moved.append(_mask(v for v, w in enumerate(sig) if v != w))
         depth = 0
         while leaf.prefix[depth] == ref.prefix[depth]:
             depth += 1
@@ -290,17 +351,19 @@ class _Search:
 
     def _leaf(self, lab: list[int], path: list[tuple],
               prefix: list[int]) -> None:
-        leaf = _Leaf(list(path), graph6_payload(self.adj, lab), lab,
-                     list(prefix))
-        if self.zeta is None:
+        leaf = _Leaf(list(path), lab, list(prefix))
+        zeta, rho = self.zeta, self.rho
+        if zeta is None:
             self.zeta = self.rho = leaf
             return
-        jumps = [d for d in (self._match(self.zeta, leaf),
-                             self._match(self.rho, leaf)) if d is not None]
-        if leaf[:2] > self.rho[:2]:
+        # rho is replaced only by a greater leaf, so unless it is zeta the
+        # two differ and a leaf matches one of them at most
+        self.jump_to = self._match(zeta, leaf)
+        if self.jump_to is None and rho is not zeta:
+            self.jump_to = self._match(rho, leaf)
+        if leaf.path > rho.path or (leaf.path == rho.path
+                                    and self._cert(leaf) > self._cert(rho)):
             self.rho = leaf
-        if jumps:
-            self.jump_to = min(jumps)
 
 
 def _twin_quotient(g: Graph, initial: OrderedPartition):
@@ -394,12 +457,10 @@ def canonical_form(g: Graph,
     q, cells = quotient[:2] if quotient else (g, initial_partition)
     search = _Search(q)
     search.run(cells)
-    lab, payload = search.rho.lab, search.rho.payload
-    gens, order = search.gens, search.order
+    lab, gens, order = search.rho.lab, search.gens, search.order
     if quotient:
         blocks, merged = quotient[2:]
         lab = [v for b in lab for v in blocks[b]]
-        payload = graph6_payload(g.adj, lab)
         gens = []
         for sig in search.gens:
             images = [0] * n
@@ -413,12 +474,11 @@ def canonical_form(g: Graph,
     relab = [0] * n
     for pos, v in enumerate(lab):
         relab[v] = pos
-    canon6 = (graph6_size_prefix(n) + payload).decode("ascii")
     cf = CanonicalForm(
         relabeling=Permutation(relab),
-        canonical_graph6=canon6,
         aut_generators=tuple(Permutation(s) for s in gens),
         aut_order=order,
+        adj=g.adj,
         discrete=not (quotient or search.zeta.prefix))
     if not colored:
         g._cache["canon"] = cf

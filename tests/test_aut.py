@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from coverstab import aut, perms
+from coverstab import aut, graph_core, perms
 from coverstab.graph_core import Graph, SoundnessError, parse_graph6
-from coverstab.perms import group_from_generators
+from coverstab.perms import group_from_generators, orbit_of
 from coverstab.aut import (OrderedPartition, refine, canonical_form,
                            automorphism_group, are_isomorphic, vertex_orbits)
 from coverstab.cover import double_cover, stability_report
@@ -510,3 +510,126 @@ class TestLargeSymmetricInputs:
         f = math.factorial(2000)
         assert (report.aut_x_order, report.aut_bx_order) == (f, 2 * f * f)
         assert sizes and max(sizes) <= 2
+
+
+def cube(d):
+    return Graph(1 << d, [(v, v ^ 1 << b) for v in range(1 << d)
+                          for b in range(d) if v < v ^ 1 << b])
+
+
+def paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return Graph(p, [(i, j) for i in range(p) for j in range(i + 1, p)
+                     if (j - i) % p in squares])
+
+
+def shuffled(g, rng):
+    images = list(range(g.n))
+    rng.shuffle(images)
+    return g.relabel(images)
+
+
+def neighbourhood_colouring(rng, g):
+    """A seeded 2- or 3-cell colouring by a vertex v and its neighbours:
+    [N[v], rest] or [{v}, N(v), rest]. It keeps v's stabilizer, where a
+    random colouring of a vertex-transitive graph usually leaves no
+    symmetry at all."""
+    v = rng.randrange(g.n)
+    near = list(graph_core.bits(g.adj[v]))
+    rest = [u for u in range(g.n) if u != v and g.adj[v] >> u & 1 == 0]
+    return [[v] + near, rest] if rng.random() < 0.5 else [[v], near, rest]
+
+
+def networkx_orbits(g, cells):
+    """The orbits of g's colour-preserving automorphisms by VF2++: u joins
+    the orbit of w when some isomorphism of the colouring with w marked
+    onto the colouring with u marked exists. Orbits lie within the cells
+    of the coarsest equitable refinement, so only those pairs are tried."""
+    nx = pytest.importorskip("networkx")
+    colour = {v: c for c, cell in enumerate(cells) for v in cell}
+    refined = {v: cell for cell in colour_refinement(g, cells) for v in cell}
+
+    def marked(u):
+        h = nx.Graph()
+        h.add_nodes_from((v, {"c": 2 * colour[v] + (v == u)})
+                         for v in range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    orbits = []
+    for u in range(g.n):
+        for orbit in orbits:
+            if orbit[0] in refined[u] and nx.vf2pp_is_isomorphic(
+                    marked(orbit[0]), marked(u), node_label="c"):
+                orbit.append(u)
+                break
+        else:
+            orbits.append([u])
+    return sorted(orbits)
+
+
+class TestOrbitPruning:
+    # each open node keeps a union-find of the orbits of its prefix's
+    # stabilizer, fed the generators found since it last looked; on these
+    # inputs first-path nodes look before later generators arrive
+
+    @pytest.mark.parametrize("name, g, order", [
+        ("C8[Q3]", lex_product(cycle(8), cube(3)), 48 ** 8 * 16),
+        ("J(7,3)", johnson(7, 3), math.factorial(7)),
+        ("Paley(29)", paley(29), 29 * 14),
+    ])
+    def test_orders_and_orbits_under_late_generators(
+            self, monkeypatch, name, g, order):
+        late = []
+
+        class Recording(aut._Search):
+            def _orbits(self, top, prefix):
+                if top[6] and 0 < top[5] < len(self.gens):
+                    late.append(len(prefix))
+                return super()._orbits(top, prefix)
+
+        monkeypatch.setattr(aut, "_Search", Recording)
+        rng = random.Random(1)
+        h = shuffled(g, rng)
+        assert canonical_form(h).aut_order == order
+        for cells in ([range(h.n)], neighbourhood_colouring(rng, h)):
+            partition = OrderedPartition.from_cells(cells, h.n)
+            late.clear()
+            cf = canonical_form(h, partition)
+            assert late
+            assert automorphism_group(h, partition).order() == cf.aut_order
+            gens = [p.images for p in cf.aut_generators]
+            ours = sorted(sorted(o) for o in {frozenset(orbit_of(gens, x))
+                                              for x in range(h.n)})
+            assert ours == networkx_orbits(h, cells)
+        assert sorted(map(sorted, vertex_orbits(h))) == networkx_orbits(
+            h, [range(h.n)])
+
+
+class TestLazyGraph6:
+    def test_no_graph6_work_unless_read(self, monkeypatch):
+        # leaves are compared by certificate; graph6 is encoded only when
+        # a caller reads canonical_graph6, and then once
+        calls = []
+        real = graph_core.graph6_payload
+
+        def counting(adj, order):
+            calls.append(len(order))
+            return real(adj, order)
+
+        monkeypatch.setattr(graph_core, "graph6_payload", counting)
+        monkeypatch.setattr(aut, "graph6_payload", counting, raising=False)
+        rng = random.Random(16)
+        star = Graph(2001, [(0, i) for i in range(1, 2001)])
+        for g in (star, shuffled(lex_product(cycle(9), cube(3)), rng),
+                  random_graph(rng, 150)):
+            stability_report(g)
+        assert calls == []
+        for g in (shuffled(lex_product(cycle(9), cube(3)), rng),
+                  shuffled(lex_product(cycle(9), Graph(4)), rng)):
+            calls.clear()
+            cf = canonical_form(g)
+            assert cf.canonical_graph6 == cf.canonical_graph6
+            assert calls == [g.n]
+            assert (g.relabel(cf.relabeling.images)
+                    == parse_graph6(cf.canonical_graph6))

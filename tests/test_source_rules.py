@@ -18,13 +18,18 @@ def test_package_has_no_assert_statements():
 
 
 def _references(path, names, owner):
-    """Lines of path that name one of names, outside the body of the
-    function owner of aut.py."""
+    """Lines of path that name one of names, outside the body of owner in
+    aut.py: a function, or a method written as Class.method."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     allowed = set()
     if path.name == "aut.py":
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == owner:
+        *cls, func = owner.split(".")
+        scope = tree.body if not cls else [
+            inner for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == cls[0]
+            for inner in node.body]
+        for node in scope:
+            if isinstance(node, ast.FunctionDef) and node.name == func:
                 allowed = {id(inner) for inner in ast.walk(node)}
     found = []
     for node in ast.walk(tree):
@@ -56,3 +61,12 @@ def test_search_runs_only_behind_the_twin_quotient():
     found = [ref for path in modules
              for ref in _references(path, {"_Search"}, "canonical_form")]
     assert not found
+
+
+def test_graph6_encoded_only_by_its_accessor():
+    # the IR search compares leaves by their relabelled rows; graph6 is
+    # encoded only when a caller reads CanonicalForm.canonical_graph6
+    aut_py = PACKAGE / "aut.py"
+    names = {"graph6_payload"}
+    assert _references(aut_py, names, "")  # the accessor itself
+    assert not _references(aut_py, names, "CanonicalForm.canonical_graph6")
