@@ -3,15 +3,11 @@ connected non-bipartite twin-free / non-trivially unstable / four-vertex-
 extension-realizable graphs.
 
 Generation uses canonical augmentation (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998): children of a parent on m vertices
-are built by attaching a new vertex m to one representative subset per
-automorphism orbit. The deletion candidates of a child are its vertices
-of largest key (degree, sorted neighbour degrees); the canonical deletion
-vertex is the candidate of highest canonical position, and a child is
-accepted exactly when the new vertex lies in its automorphism orbit. A
-child is labelled only when the new vertex ties with another candidate.
-The last order is yielded as it is generated, so the census classifies
-while generation runs.
+generation", J. Algorithms 26, 1998; _augment states the acceptance test).
+Each class is accepted only from its canonical parent, so the tree is
+walked depth first in O(depth) memory and its subtrees are independent: a
+pooled census hands each worker the subtree of one order-(n-2) graph to
+extend and classify, and a serial census runs the whole tree as one task.
 """
 
 from __future__ import annotations
@@ -19,6 +15,7 @@ from __future__ import annotations
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .graph_core import (Graph, GraphParseError, SoundnessError,
@@ -134,33 +131,44 @@ def _augment(parent: Graph) -> Iterator[Graph]:
         yield child
 
 
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """All graphs of order n, one representative per isomorphism class.
+def _descendants(g: Graph, n: int) -> Iterator[Graph]:
+    """The order-n graphs below g in the augmentation tree, depth first."""
+    if g.n == n:
+        yield g
+        return
+    for child in _augment(g):
+        yield from _descendants(child, n)
 
-    Built-in generation covers the orders of KNOWN_GRAPH_COUNTS (n <= 9);
-    beyond that, feed a graph6 stream (e.g. from an external generator)
-    through stream_graph6 instead. Order n is yielded as it is generated;
-    the count check raises SoundnessError after the last graph.
-    """
-    if n < 1:
-        raise ValueError("enumerate_graphs requires n >= 1")
+
+def _check_order(n: int) -> None:
     if n not in KNOWN_GRAPH_COUNTS:
         raise ValueError(
-            f"built-in generation supports n <= {max(KNOWN_GRAPH_COUNTS)}; "
-            "use a graph6 stream input (census --stream) for larger orders")
-    level = [Graph(1)]
-    for _ in range(n - 2):
-        level = [child for parent in level for child in _augment(parent)]
-    if n > 1:
-        level = (child for parent in level for child in _augment(parent))
-    count = 0
-    for g in level:
-        count += 1
-        yield g
+            f"built-in generation supports 1 <= n <= "
+            f"{max(KNOWN_GRAPH_COUNTS)}; use a graph6 stream input "
+            "(census --stream) for larger orders")
+
+
+def _check_count(count: int, n: int) -> None:
     if count != KNOWN_GRAPH_COUNTS[n]:
         raise SoundnessError(
             f"generated {count} graphs of order {n}, "
             f"not {KNOWN_GRAPH_COUNTS[n]}")
+
+
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """All graphs of order n, one per isomorphism class, depth first.
+
+    Built-in generation covers the orders of KNOWN_GRAPH_COUNTS (n <= 9);
+    beyond that, feed a graph6 stream (e.g. from an external generator)
+    through stream_graph6 instead. The count check raises SoundnessError
+    after the last graph.
+    """
+    _check_order(n)
+    count = 0
+    for g in _descendants(Graph(1), n):
+        count += 1
+        yield g
+    _check_count(count, n)
 
 
 def stream_graph6(lines: Iterable[str]) -> Iterator[Graph]:
@@ -226,47 +234,59 @@ def classify_graph(g: Graph) -> tuple[bool, bool, bool]:
     return (True, True, is_xab_realizable(g) is not None)
 
 
-def _classify_g6(line: str) -> tuple[bool, bool, bool, str]:
-    g = parse_graph6(line)
-    return classify_graph(g) + (line,)
+def _census_task(n: int, root: Optional[str]) -> tuple[list[int], list[str]]:
+    """Classify the order-n graphs below root, a graph6 line (a stream
+    graph of order n is its own only descendant), or all of order n when
+    root is None: counts of (graphs, cnbtf, ntu, xab) and the ntu graph6."""
+    graphs = (enumerate_graphs(n) if root is None
+              else _descendants(parse_graph6(root), n))
+    counts, ntu_lines = [0] * 4, []
+    for g in graphs:
+        flags = (True,) + classify_graph(g)
+        counts = [c + f for c, f in zip(counts, flags)]
+        if flags[2]:
+            ntu_lines.append(write_graph6(g))
+    return counts, ntu_lines
 
 
 def census_row(n: int, source: Optional[Iterable[str]] = None,
                threads: int = 1,
                collect_ntu: Optional[list] = None) -> CensusRow:
     """Census counts for order n from the built-in generator or a graph6
-    line stream. With threads > 1, graphs are classified in a process pool
-    of at most os.cpu_count() workers; counting is order-independent, so
-    results are identical either way.
-    """
+    line stream. With threads > 1, a pool of at most os.cpu_count()
+    processes runs the tasks: the subtree of one order-(n-2) graph, built
+    by the parent, or up to 64 stream lines. Serially the built-in tree is
+    one task. Results come in task order, so they match either way."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
     threads = min(threads, os.cpu_count() or 1)
-    if source is None:
-        lines = (write_graph6(g) for g in enumerate_graphs(n))
-    else:
+    tasks, chunksize = [None], 1
+    if source is not None:
         def checked(src):
             for g in stream_graph6(src):
                 if g.n != n:
                     raise GraphParseError(
                         f"stream graph has order {g.n}, expected {n}")
                 yield write_graph6(g)
-        lines = checked(source)
-    cnbtf = ntu = xab = 0
+        tasks, chunksize = checked(source), 64
+    elif threads > 1 and n >= 3:
+        _check_order(n)
+        tasks = (write_graph6(g) for g in enumerate_graphs(n - 2))
+    totals = [0] * 4
     with ExitStack() as stack:
         if threads > 1:
             import multiprocessing
             pool = stack.enter_context(multiprocessing.Pool(threads))
-            results = pool.imap(_classify_g6, lines, chunksize=64)
+            results = pool.imap(partial(_census_task, n), tasks, chunksize)
         else:
-            results = map(_classify_g6, lines)
-        for is_cnbtf, is_ntu, is_xab, line in results:
-            cnbtf += is_cnbtf
-            ntu += is_ntu
-            xab += is_xab
-            if is_ntu and collect_ntu is not None:
-                collect_ntu.append(line)
-    row = CensusRow(n=n, count_cnbtf=cnbtf, count_ntu=ntu, count_xab=xab)
+            results = map(partial(_census_task, n), tasks)
+        for counts, ntu_lines in results:
+            totals = [t + c for t, c in zip(totals, counts)]
+            if collect_ntu is not None:
+                collect_ntu.extend(ntu_lines)
+    if source is None:
+        _check_count(totals[0], n)
+    row = CensusRow(n, *totals[1:])
     if not row.count_xab <= row.count_ntu <= row.count_cnbtf:
         raise SoundnessError(f"census counts out of order: {row}")
     return row

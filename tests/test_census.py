@@ -165,12 +165,30 @@ class TestCensusRow:
             r = stability_report(g)
             assert r.aut_bx_order > 2 * r.aut_x_order
 
-    def test_parallel_agrees(self, graphs_by_order):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_parallel_agrees(self, monkeypatch, n):
+        # n <= 2 has no order-(n-2) roots and runs as one pooled task
+        import os
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         seq_ntu, par_ntu = [], []
-        seq = census_row(6, collect_ntu=seq_ntu)
-        par = census_row(6, threads=2, collect_ntu=par_ntu)
+        seq = census_row(n, collect_ntu=seq_ntu)
+        par = census_row(n, threads=2, collect_ntu=par_ntu)
         assert seq == par
         assert seq_ntu == par_ntu
+
+    def test_pool_workers_generate_the_last_two_orders(self, monkeypatch):
+        # The parent builds only the order-(n-2) roots: it augments graphs
+        # of order at most n-3. Workers are forked with the recording
+        # wrapper, but what they record stays in their own memory.
+        import os
+        orders = []
+        real = census._augment
+        monkeypatch.setattr(census, "_augment",
+                            lambda g: orders.append(g.n) or real(g))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        row = census_row(7, threads=2)
+        assert orders and max(orders) <= 4
+        assert row == census_row(7)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_count_check_raises_after_streaming(self, monkeypatch, threads):

@@ -272,11 +272,25 @@ class TestCensus:
         assert not out and "line 2" in err and "non-ASCII" in err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_order_beyond_builtin_points_to_stream(self, capsys, threads):
+    def test_order_beyond_builtin_points_to_stream(self, capsys, monkeypatch,
+                                                   threads):
+        # The order is checked before any graph is generated, so a pooled
+        # run does not build the order-8 roots first. The stub stops a run
+        # that would generate at its first call, not after order 10.
+        from coverstab import census
+        calls = []
+
+        def augment(g):
+            calls.append(g.n)
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(census, "_augment", augment)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         code, out, err = invoke(capsys, "census", "--n", "10",
                                 "--threads", threads)
         assert code == EXIT_USAGE
         assert not out and "--stream" in err
+        assert not calls
 
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_thread_count_below_one_rejected(self, capsys, threads):
@@ -329,6 +343,11 @@ FORCED_FAILURES = {
     "generated graph count off the published one": ("""
         census.KNOWN_GRAPH_COUNTS[4] = 12
         """, ["census", "--n", "4"]),
+    "generated graph count off the published one, in the pool": ("""
+        import os
+        os.cpu_count = lambda: 2
+        census.KNOWN_GRAPH_COUNTS[4] = 12
+        """, ["census", "--n", "4", "--threads", "2"]),
 }
 
 

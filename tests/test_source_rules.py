@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coverstab"
 
 
@@ -18,12 +20,12 @@ def test_package_has_no_assert_statements():
 
 
 def _references(path, names, owner):
-    """Lines of path that name one of names, outside the body of owner in
-    aut.py: a function, or a method written as Class.method."""
+    """Lines of path that name one of names, outside the body of owner,
+    written as module.function or module.Class.method ("" for none)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     allowed = set()
-    if path.name == "aut.py":
-        *cls, func = owner.split(".")
+    module, *cls, func = owner.split(".") if owner else ("", "")
+    if path.stem == module:
         scope = tree.body if not cls else [
             inner for node in tree.body
             if isinstance(node, ast.ClassDef) and node.name == cls[0]
@@ -47,9 +49,9 @@ def test_schreier_sims_only_in_the_order_cross_check():
     # aut.automorphism_group, which cross-checks the search's order
     modules = [p for p in sorted(PACKAGE.rglob("*.py")) if p.name != "perms.py"]
     assert modules
+    names = {"group_from_generators", "PermGroup"}
     found = [ref for path in modules
-             for ref in _references(path, {"group_from_generators", "PermGroup"},
-                                    "automorphism_group")]
+             for ref in _references(path, names, "aut.automorphism_group")]
     assert not found
 
 
@@ -59,7 +61,7 @@ def test_search_runs_only_behind_the_twin_quotient():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     found = [ref for path in modules
-             for ref in _references(path, {"_Search"}, "canonical_form")]
+             for ref in _references(path, {"_Search"}, "aut.canonical_form")]
     assert not found
 
 
@@ -69,4 +71,20 @@ def test_graph6_encoded_only_by_its_accessor():
     aut_py = PACKAGE / "aut.py"
     names = {"graph6_payload"}
     assert _references(aut_py, names, "")  # the accessor itself
-    assert not _references(aut_py, names, "CanonicalForm.canonical_graph6")
+    assert not _references(aut_py, names,
+                           "aut.CanonicalForm.canonical_graph6")
+
+
+@pytest.mark.parametrize("names, owner", [
+    ({"_augment"}, "census._descendants"),
+    ({"multiprocessing"}, "census.census_row"),
+], ids=["generator", "pool"])
+def test_census_has_one_generator_and_one_pool(names, owner):
+    # generation is one depth-first descent, which the serial census, the
+    # pool's roots and its workers all walk; census_row owns the one pool
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    assert _references(PACKAGE / "census.py", names, "")
+    found = [ref for path in modules
+             for ref in _references(path, names, owner)]
+    assert not found
