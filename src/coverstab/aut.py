@@ -11,15 +11,17 @@ relabelled rows, built only when a reference leaf has the same path. Each
 open node keeps a union-find of its orbits under the automorphisms found
 that fix its prefix, fed only the generators found since it last looked,
 and tries the least vertex of each orbit. Skipped branches are provably
-equivalent to explored ones.
+equivalent to explored ones. That union-find (``_merge``, least points as
+roots) is the package's one orbit routine: ``orbit_roots`` runs it on all
+points for ``vertex_orbits`` and for canonical-augmentation generation.
 
 The group order is read off the search tree, as nauty does: when a node on
 the first path has explored all its children, the automorphisms found that
 fix its prefix generate its stabilizer, so |Aut| is the product over the
 first path of the orbit sizes of its individualized vertices. Vertex
-orbits are the orbits of the generators the search found. Schreier-Sims
-(``automorphism_group``) only cross-checks the order. graph6 is encoded
-only when ``canonical_graph6`` is read.
+orbits are the orbits of the generators the search found, which are image
+tuples. Schreier-Sims (``automorphism_group``) only cross-checks the
+order. graph6 is encoded only when ``canonical_graph6`` is read.
 
 Twins are collapsed before the search: ``canonical_form`` merges every
 class of open twins (equal neighbourhoods) and of closed twins (equal
@@ -41,7 +43,7 @@ from typing import Iterable, Optional
 from .graph_core import (Graph, SoundnessError, bits, graph6_size_prefix,
                          has_twins)
 from . import graph_core, perms
-from .perms import Permutation, orbit_of
+from .perms import Permutation
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ class CanonicalForm:
 
     ``relabeling`` maps input vertex -> canonical position; applying it to
     the input graph yields exactly the graph encoded by canonical_graph6.
+    It and the generators are image tuples (v -> images[v]).
     ``aut_order`` is the order of the group the generators generate. For
     a graph with twins the generators are the twin-free quotient's, lifted
     block by block, and a transposition and a cycle of each merged twin
@@ -83,8 +86,8 @@ class CanonicalForm:
     (one leaf, no twins).
     """
 
-    relabeling: Permutation
-    aut_generators: tuple[Permutation, ...]
+    relabeling: tuple[int, ...]
+    aut_generators: tuple[tuple[int, ...], ...]
     aut_order: int
     adj: tuple[int, ...] = field(repr=False, compare=False)
     discrete: bool = False
@@ -93,7 +96,7 @@ class CanonicalForm:
     def canonical_graph6(self) -> str:
         """graph6 of the relabelled input, encoded when first read."""
         return (graph6_size_prefix(len(self.adj)) + graph_core.graph6_payload(
-            self.adj, self.relabeling.inverse().images)).decode("ascii")
+            self.adj, perms._inv(self.relabeling))).decode("ascii")
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -189,11 +192,37 @@ def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
                                   for s in sorted(set(cellof))))
 
 
-def _root(uf: dict[int, int], v: int) -> int:
+def _root(uf, v: int) -> int:
     """The root of v in the union-find uf, halving the path."""
     while uf[v] != v:
         uf[v] = v = uf[uf[v]]
     return v
+
+
+def _merge(uf, gen: tuple[int, ...], points: Iterable[int]) -> None:
+    """Union gen's orbits on points into uf, a list or dict of parents,
+    each root the least point of its class; gen maps points into points.
+    The root walks are inlined, as this runs once per point per generator."""
+    for v in points:
+        w = gen[v]
+        if w != v:
+            while uf[v] != v:
+                uf[v] = v = uf[uf[v]]
+            while uf[w] != w:
+                uf[w] = w = uf[uf[w]]
+            if v < w:
+                uf[w] = v
+            elif w < v:
+                uf[v] = w
+
+
+def orbit_roots(gens: Iterable[tuple[int, ...]], n: int) -> list[int]:
+    """The least point of each point's orbit under the group the image
+    tuples gens generate on 0..n-1."""
+    uf = list(range(n))
+    for gen in gens:
+        _merge(uf, gen, range(n))
+    return [_root(uf, v) for v in range(n)]
 
 
 @dataclass(slots=True, eq=False)
@@ -295,13 +324,8 @@ class _Search:
         if seen < len(self.gens):
             fixed = _mask(prefix)
             for g, moved in zip(self.gens[seen:], self.moved[seen:]):
-                if moved & fixed:
-                    continue
-                for v in top[2]:
-                    if g[v] != v:
-                        a, b = _root(uf, v), _root(uf, g[v])
-                        if a != b:
-                            uf[max(a, b)] = min(a, b)
+                if not moved & fixed:
+                    _merge(uf, g, top[2])
             top[5] = len(self.gens)
         return uf
 
@@ -471,12 +495,9 @@ def canonical_form(g: Graph,
         for block, s in merged:
             gens += _block_generators(n, block, s)
             order *= factorial(s)
-    relab = [0] * n
-    for pos, v in enumerate(lab):
-        relab[v] = pos
     cf = CanonicalForm(
-        relabeling=Permutation(relab),
-        aut_generators=tuple(Permutation(s) for s in gens),
+        relabeling=perms._inv(lab),
+        aut_generators=tuple(gens),
         aut_order=order,
         adj=g.adj,
         discrete=not (quotient or search.zeta.prefix))
@@ -494,7 +515,8 @@ def automorphism_group(g: Graph,
     the order the search reports, or SoundnessError is raised.
     """
     cf = canonical_form(g, initial_partition)
-    grp = perms.group_from_generators(cf.aut_generators, g.n)
+    grp = perms.group_from_generators(
+        [Permutation(p) for p in cf.aut_generators], g.n)
     if grp.order() != cf.aut_order:
         raise SoundnessError(
             f"Schreier-Sims order {grp.order()} differs from the search's "
@@ -504,15 +526,11 @@ def automorphism_group(g: Graph,
 
 def vertex_orbits(g: Graph) -> list[frozenset]:
     """Orbits of the automorphism group on vertices, by smallest element."""
-    gens = [p.images for p in canonical_form(g).aut_generators]
-    orbits = []
-    done: set[int] = set()
-    for x in range(g.n):
-        if x not in done:
-            orbit = orbit_of(gens, x)
-            done |= orbit
-            orbits.append(frozenset(orbit))
-    return orbits
+    orbits: dict[int, list[int]] = {}
+    for v, root in enumerate(orbit_roots(canonical_form(g).aut_generators,
+                                         g.n)):
+        orbits.setdefault(root, []).append(v)
+    return [frozenset(orbit) for orbit in orbits.values()]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -21,8 +21,7 @@ from typing import Iterable, Iterator, Optional
 from .graph_core import (Graph, GraphParseError, SoundnessError,
                          parse_graph6, write_graph6, bits, is_connected,
                          is_bipartite, has_twins)
-from .perms import orbit_of
-from .aut import canonical_form
+from .aut import canonical_form, orbit_roots
 from .cover import stability_report
 
 # Graphs per order (OEIS A000088): the orders enumerate_graphs generates,
@@ -59,11 +58,9 @@ class XabWitness:
 
 
 def _subset_orbit_reps(m: int, gens) -> list[int]:
-    """Orbit representatives (as bitmasks, smallest in orbit) of the action
-    of the generated group on subsets of {0..m-1}."""
+    """Orbit representatives (as bitmasks, smallest in orbit, ascending) of
+    the action of the generated group on subsets of {0..m-1}."""
     total = 1 << m
-    if not gens:
-        return list(range(total))
     actions = []
     for g in gens:
         img = [0] * total
@@ -71,12 +68,8 @@ def _subset_orbit_reps(m: int, gens) -> list[int]:
             low = mask & -mask
             img[mask] = img[mask ^ low] | 1 << g[low.bit_length() - 1]
         actions.append(img)
-    reps, seen = [], set()
-    for mask in range(total):
-        if mask not in seen:
-            reps.append(mask)
-            seen |= orbit_of(actions, mask)
-    return reps
+    return [mask for mask, root in enumerate(orbit_roots(actions, total))
+            if mask == root]
 
 
 def _deletion_candidates(rows: list[int]) -> list[int]:
@@ -112,9 +105,7 @@ def _augment(parent: Graph) -> Iterator[Graph]:
     invariants, so each class is accepted from exactly one parent class.
     """
     m = parent.n
-    cf = canonical_form(parent)
-    gens = [p.images for p in cf.aut_generators]
-    for mask in _subset_orbit_reps(m, gens):
+    for mask in _subset_orbit_reps(m, canonical_form(parent).aut_generators):
         rows = list(parent.adj) + [mask]
         for v in bits(mask):
             rows[v] |= 1 << m
@@ -124,9 +115,9 @@ def _augment(parent: Graph) -> Iterator[Graph]:
         child = Graph._unchecked(rows)
         if len(candidates) > 1:
             ccf = canonical_form(child)
-            kappa = max(candidates, key=ccf.relabeling.images.__getitem__)
-            cgens = [p.images for p in ccf.aut_generators]
-            if kappa != m and m not in orbit_of(cgens, kappa):
+            kappa = max(candidates, key=ccf.relabeling.__getitem__)
+            root = orbit_roots(ccf.aut_generators, m + 1)
+            if root[kappa] != root[m]:
                 continue
         yield child
 

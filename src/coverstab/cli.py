@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import ExitStack
 from typing import Optional, Sequence
 
 from .graph_core import Graph, GraphParseError, parse_graph6, write_graph6
@@ -100,27 +101,28 @@ def _cmd_family(args) -> int:
 
 def _cmd_census(args) -> int:
     collect = [] if args.emit_ntu else None
-    if args.stream:
-        # latin-1 decodes every byte, so parse_graph6 reports a non-ASCII
-        # byte as malformed input with its line number.
-        with open(args.stream, "r", encoding="latin-1") as handle:
-            row = census_row(args.n, source=handle, threads=args.threads,
-                             collect_ntu=collect)
-    else:
-        row = census_row(args.n, threads=args.threads, collect_ntu=collect)
-    if args.csv:
-        print("n,cnbtf,ntu,xab")
-        print(row.as_csv())
-    else:
-        print(f"{'n':>4} {'cnbtf':>10} {'ntu':>8} {'xab':>8}")
-        print(f"{row.n:>4} {row.count_cnbtf:>10} {row.count_ntu:>8} "
-              f"{row.count_xab:>8}")
-    if args.emit_ntu:
-        with open(args.emit_ntu, "w", encoding="ascii") as out:
-            for line in collect:
-                out.write(line + "\n")
-        print(f"wrote {len(collect)} graphs to {args.emit_ntu}",
-              file=sys.stderr)
+    with ExitStack() as stack:
+        # Both files are opened before the census runs, so a bad path
+        # fails at once. latin-1 decodes every byte, so parse_graph6
+        # reports a non-ASCII byte as malformed input with its line number.
+        source = (stack.enter_context(
+            open(args.stream, "r", encoding="latin-1"))
+            if args.stream else None)
+        out = (stack.enter_context(open(args.emit_ntu, "w", encoding="ascii"))
+               if args.emit_ntu else None)
+        row = census_row(args.n, source=source, threads=args.threads,
+                         collect_ntu=collect)
+        if args.csv:
+            print("n,cnbtf,ntu,xab")
+            print(row.as_csv())
+        else:
+            print(f"{'n':>4} {'cnbtf':>10} {'ntu':>8} {'xab':>8}")
+            print(f"{row.n:>4} {row.count_cnbtf:>10} {row.count_ntu:>8} "
+                  f"{row.count_xab:>8}")
+        if out is not None:
+            out.writelines(line + "\n" for line in collect)
+            print(f"wrote {len(collect)} graphs to {args.emit_ntu}",
+                  file=sys.stderr)
     return EXIT_OK
 
 

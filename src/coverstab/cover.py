@@ -100,16 +100,7 @@ def double_cover(g: Graph) -> DoubleCover:
 
 
 def is_base_automorphism(g: Graph, phi: Permutation) -> bool:
-    if phi.degree != g.n:
-        return False
-    img = phi.images
-    for v in range(g.n):
-        acc = 0
-        for u in bits(g.adj[v]):
-            acc |= 1 << img[u]
-        if acc != g.adj[img[v]]:
-            return False
-    return True
+    return phi.degree == g.n and g.relabel(phi.images) == g
 
 
 def lift(d: DoubleCover, phi: Permutation) -> Permutation:

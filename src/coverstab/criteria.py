@@ -68,6 +68,25 @@ class CriterionVerdict:
         return out
 
 
+def _verdict(crit: str, failed: list[str],
+             detail: Optional[str] = None) -> CriterionVerdict:
+    """The verdict from a criterion's failed hypotheses: it does not apply
+    when one failed, and otherwise applies and implies stability."""
+    if failed:
+        return CriterionVerdict(crit, False, tuple(failed))
+    return CriterionVerdict(crit, True, (), "stable", detail=detail)
+
+
+def _trivial_or_disconnected(g: Graph) -> list[str]:
+    """The shared first hypotheses: at least two vertices, connected."""
+    failed = []
+    if g.n < 2:
+        failed.append("graph is trivial")
+    if not is_connected(g):
+        failed.append("not connected")
+    return failed
+
+
 def srg_params(g: Graph) -> Optional[SrgParams]:
     """Strongly regular parameters, or None if the uniformity fails.
 
@@ -131,13 +150,9 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
     qualify; their stability is covered by the complete-graph fact.
     """
     crit = "triangle-distance-growth"
-    failed = []
-    if g.n < 2:
-        failed.append("graph is trivial")
-    if not is_connected(g):
-        failed.append("not connected")
+    failed = _trivial_or_disconnected(g)
     if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
+        return _verdict(crit, failed)
     if not triangle_flags(g)[0]:
         failed.append("an edge lies on no triangle")
     adj = g.adj
@@ -154,9 +169,7 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
             failed.append(
                 f"a distance-3 vertex from {x} has no neighbour at distance 4")
             break
-    if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
-    return CriterionVerdict(crit, True, (), "stable")
+    return _verdict(crit, failed)
 
 
 def check_distance_regular(g: Graph) -> CriterionVerdict:
@@ -164,7 +177,7 @@ def check_distance_regular(g: Graph) -> CriterionVerdict:
     crit = "distance-regular-growth"
     arr = intersection_array(g)
     if arr is None:
-        return CriterionVerdict(crit, False, ("not distance-regular",))
+        return _verdict(crit, ["not distance-regular"])
     failed = []
     if arr.d < 4:
         failed.append(f"diameter {arr.d} < 4")
@@ -174,9 +187,7 @@ def check_distance_regular(g: Graph) -> CriterionVerdict:
         failed.append("b2 = 0")
     if arr.d >= 4 and arr.b[3] < 1:
         failed.append("b3 = 0")
-    if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
-    return CriterionVerdict(crit, True, (), "stable")
+    return _verdict(crit, failed)
 
 
 def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
@@ -185,19 +196,15 @@ def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
     count with any distance-2 pair, i.e. any non-adjacent pair with a
     common neighbour."""
     crit = "common-neighbor-separation"
-    failed = []
-    if g.n < 2:
-        failed.append("graph is trivial")
-    if not is_connected(g):
-        failed.append("not connected")
+    failed = _trivial_or_disconnected(g)
     if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
+        return _verdict(crit, failed)
     if has_twins(g):
         failed.append("has twins")
     if not triangle_flags(g)[0]:
         failed.append("an edge lies on no triangle")
     if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
+        return _verdict(crit, failed)
     adj = g.adj
     adjacent_counts = set()
     distance2_counts = set()
@@ -210,12 +217,11 @@ def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
                 distance2_counts.add(common)
     overlap = adjacent_counts & distance2_counts
     if overlap:
-        return CriterionVerdict(
-            crit, False,
-            (f"count {min(overlap)} occurs both for adjacent and distance-2 pairs",))
-    return CriterionVerdict(crit, True, (), "stable",
-                            detail=f"adjacent counts {sorted(adjacent_counts)}, "
-                                   f"distance-2 counts {sorted(distance2_counts)}")
+        failed.append(f"count {min(overlap)} occurs both for adjacent and "
+                      "distance-2 pairs")
+    return _verdict(crit, failed,
+                    f"adjacent counts {sorted(adjacent_counts)}, "
+                    f"distance-2 counts {sorted(distance2_counts)}")
 
 
 def check_srg_distinct_counts(g: Graph) -> CriterionVerdict:
@@ -226,7 +232,7 @@ def check_srg_distinct_counts(g: Graph) -> CriterionVerdict:
     crit = "srg-distinct-counts"
     p = srg_params(g)
     if p is None:
-        return CriterionVerdict(crit, False, ("not strongly regular",))
+        return _verdict(crit, ["not strongly regular"])
     failed = []
     if not p.k > p.mu:
         failed.append(f"k = {p.k} <= mu = {p.mu} (has twins)")
@@ -234,13 +240,10 @@ def check_srg_distinct_counts(g: Graph) -> CriterionVerdict:
         failed.append(f"mu = lambda = {p.mu}")
     if p.lambda_ < 1:
         failed.append("lambda = 0 (triangle-free)")
-    if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
-    if not check_common_neighbor_separation(g).applies:
+    if not failed and not check_common_neighbor_separation(g).applies:
         raise SoundnessError("srg-distinct-counts holds but its special case "
                              "common-neighbor-separation does not")
-    return CriterionVerdict(crit, True, (), "stable",
-                            detail=f"srg{p.as_tuple()}")
+    return _verdict(crit, failed, f"srg{p.as_tuple()}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +254,8 @@ def check_triangle_free_diam2(g: Graph) -> CriterionVerdict:
     connected, non-bipartite, twin-free, triangle-free, diameter 2 imply
     stability."""
     crit = "triangle-free-diameter-2"
-    failed = []
-    if g.n < 2:
-        failed.append("graph is trivial")
-    if not is_connected(g):
-        failed.append("not connected")
-    else:
+    failed = _trivial_or_disconnected(g)
+    if is_connected(g):
         if is_bipartite(g):
             failed.append("bipartite")
         diam = diameter(g)
@@ -266,9 +265,7 @@ def check_triangle_free_diam2(g: Graph) -> CriterionVerdict:
         failed.append("has twins")
     if not triangle_flags(g)[1]:
         failed.append("contains a triangle")
-    if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
-    return CriterionVerdict(crit, True, (), "stable")
+    return _verdict(crit, failed)
 
 
 def check_srg_triangle_free(g: Graph) -> CriterionVerdict:
@@ -276,16 +273,13 @@ def check_srg_triangle_free(g: Graph) -> CriterionVerdict:
     crit = "srg-triangle-free"
     p = srg_params(g)
     if p is None:
-        return CriterionVerdict(crit, False, ("not strongly regular",))
+        return _verdict(crit, ["not strongly regular"])
     failed = []
     if not p.k > p.mu:
         failed.append(f"k = {p.k} <= mu = {p.mu} (has twins)")
     if p.lambda_ != 0:
         failed.append(f"lambda = {p.lambda_} != 0")
-    if failed:
-        return CriterionVerdict(crit, False, tuple(failed))
-    return CriterionVerdict(crit, True, (), "stable",
-                            detail=f"srg{p.as_tuple()}")
+    return _verdict(crit, failed, f"srg{p.as_tuple()}")
 
 
 def check_srg_instability_constraint(g: Graph) -> CriterionVerdict:
@@ -295,7 +289,7 @@ def check_srg_instability_constraint(g: Graph) -> CriterionVerdict:
     crit = "srg-equal-counts-necessary"
     p = srg_params(g)
     if p is None:
-        return CriterionVerdict(crit, False, ("not strongly regular",))
+        return _verdict(crit, ["not strongly regular"])
     return CriterionVerdict(
         crit, True, (), "constraint",
         constraint="nontrivially unstable => lambda = mu > 0",

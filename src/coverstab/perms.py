@@ -1,12 +1,14 @@
 """Permutations on 0..n-1 and finitely generated permutation groups.
 
-Orbits under a set of generators come from ``orbit_of``. Groups carry a
-base and strong generating set with explicit coset representatives, built
-by incremental Schreier-Sims from one worklist, giving exact (big-integer)
-order and membership queries; in the package, only
-``aut.automorphism_group`` builds one, to cross-check the order the
-canonical-form search reports. Composition is left-to-right: compose(p, q)
-maps x to q(p(x)).
+``Permutation`` is the public type of the verification API (the cover's
+lifts, layer swap and expectedness tests); the search engine passes
+automorphisms as plain image tuples, and orbits come from its union-find
+(``aut.orbit_roots``). Groups carry a base and strong generating set with
+explicit coset representatives, built by incremental Schreier-Sims from
+one worklist, giving exact (big-integer) order and membership queries; in
+the package, only ``aut.automorphism_group`` builds one, to cross-check
+the order the canonical-form search reports. Composition is
+left-to-right: compose(p, q) maps x to q(p(x)).
 """
 
 from __future__ import annotations
@@ -60,10 +62,7 @@ class Permutation:
         return all(i == x for i, x in enumerate(self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation(inv)
+        return Permutation(_inv(self.images))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self then other."""
@@ -114,8 +113,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    qi = q.images
-    return Permutation(tuple(qi[x] for x in p.images))
+    return Permutation(_mul(p.images, q.images))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -123,33 +121,19 @@ def inverse(p: Permutation) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# internal tuple-level helpers (hot paths avoid Permutation wrappers)
+# composition and inversion of image tuples: the one body of each, shared
+# by Permutation, PermGroup and the search engine
 
-def _mul(p: tuple, q: tuple) -> tuple:
+def _mul(p: Sequence[int], q: Sequence[int]) -> tuple:
     return tuple(q[x] for x in p)
 
 
-def _inv(p: tuple) -> tuple:
+def _inv(p: Sequence[int]) -> tuple:
     out = [0] * len(p)
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
 
-
-def orbit_of(gens: Sequence[tuple], x: int) -> set[int]:
-    """The orbit of x under the group generated by the image tuples gens."""
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = g[a]
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
 
 
 class PermGroup:

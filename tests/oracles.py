@@ -14,7 +14,7 @@ from itertools import permutations
 from coverstab.graph_core import Graph
 from coverstab.aut import canonical_form
 from coverstab.cover import lift, tau
-from coverstab.perms import group_from_generators
+from coverstab.perms import Permutation, group_from_generators
 
 
 def ref_encode_graph6(n, edges):
@@ -151,7 +151,7 @@ def expected_group(d):
     generators on the cover d: the reference for expected-automorphism
     membership. Its order must be 2|Aut(X)|."""
     cf = canonical_form(d.base)
-    gens = [tau(d)] + [lift(d, phi) for phi in cf.aut_generators]
+    gens = [tau(d)] + [lift(d, Permutation(phi)) for phi in cf.aut_generators]
     grp = group_from_generators(gens, 2 * d.base.n)
     assert grp.order() == 2 * cf.aut_order
     return grp

@@ -14,7 +14,7 @@ from coverstab.census import (KNOWN_GRAPH_COUNTS, CensusRow, census_row,
                               stream_graph6)
 from coverstab.families import complete_graph, extend_xab
 
-from oracles import enumerate_graphs_naive, random_graph
+from oracles import enumerate_graphs_naive, naive_closure, random_graph
 
 
 class TestEnumeration:
@@ -56,6 +56,23 @@ class TestEnumeration:
         monkeypatch.setattr(census, "canonical_form", counting)
         assert sum(1 for _ in enumerate_graphs(7)) == KNOWN_GRAPH_COUNTS[7]
         assert len(calls) <= 1000
+
+    def test_subset_orbit_reps_match_naive_closure(self):
+        # the least mask of each orbit of the closure acting on subsets,
+        # in ascending order, for seeded generator sets of 0-3 elements
+        rng = random.Random(17)
+        for _ in range(60):
+            m = rng.randrange(0, 7)
+            gens = []
+            for _ in range(rng.randrange(0, 4)):
+                images = list(range(m))
+                rng.shuffle(images)
+                gens.append(tuple(images))
+            closure = naive_closure(gens, m)
+            expected = sorted({min(sum(1 << p[v] for v in range(m)
+                                       if mask >> v & 1) for p in closure)
+                               for mask in range(1 << m)})
+            assert census._subset_orbit_reps(m, gens) == expected
 
     def test_matches_networkx_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -192,8 +209,10 @@ class TestCensusRow:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_count_check_raises_after_streaming(self, monkeypatch, threads):
-        # The count check runs after the last graph is yielded; the pool
-        # re-raises it from the generator through Pool.imap.
+        # The count check runs after the last graph is yielded. Serially
+        # the one task's generator raises it; pooled, the workers walk
+        # subtrees without a check and the parent raises it from the sum
+        # of the task counts.
         import os
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setitem(KNOWN_GRAPH_COUNTS, 6, 155)

@@ -292,6 +292,25 @@ class TestCensus:
         assert not out and "--stream" in err
         assert not calls
 
+    def test_unwritable_emit_path_fails_before_the_census(
+            self, capsys, monkeypatch, tmp_path):
+        # The output file is opened before any graph is generated, so a
+        # bad path costs no census and prints no table.
+        from coverstab import census
+        calls = []
+        real = census._augment
+
+        def augment(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(census, "_augment", augment)
+        code, out, err = invoke(capsys, "census", "--n", "6", "--emit-ntu",
+                                str(tmp_path / "missing" / "ntu.g6"))
+        assert code == EXIT_USAGE
+        assert not out and "ntu.g6" in err
+        assert not calls
+
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_thread_count_below_one_rejected(self, capsys, threads):
         code, out, err = invoke(capsys, "census", "--n", "4",

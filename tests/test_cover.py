@@ -138,7 +138,8 @@ class TestIsExpected:
         for n in range(1, 7):
             for g in graphs_by_order[n]:
                 d = double_cover(g)
-                gens = canonical_form(d.cover).aut_generators
+                gens = [Permutation(p)
+                        for p in canonical_form(d.cover).aut_generators]
                 alphas = list(gens) + [p * q for p in gens for q in gens]
                 exp = expected_group(d)
                 cases.append((Graph.from_rows(g.adj), d, alphas,

@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverstab.aut import orbit_roots
 from coverstab.perms import (Permutation, compose, inverse, identity,
-                             group_from_generators, orbit_of)
+                             group_from_generators)
 
 from oracles import naive_closure
 
@@ -139,25 +140,27 @@ class TestGroupQueries:
 
     def test_orbits_partition_degree(self):
         # the naive closure's images of each orbit's least point are the
-        # reference for orbit_of
+        # reference for orbit_roots
         rng = random.Random(53)
         for _ in range(50):
             n = rng.randrange(1, 9)
             gens = [p.images for p in random_gens(rng, n, rng.randrange(0, 3))]
             closure = naive_closure(gens, n)
-            orbits = {frozenset(orbit_of(gens, x)) for x in range(n)}
+            roots = orbit_roots(gens, n)
+            orbits = {frozenset(v for v in range(n) if roots[v] == r)
+                      for r in roots}
             assert sum(len(o) for o in orbits) == n
             for o in orbits:
                 assert o == {p[min(o)] for p in closure}
+                assert {roots[v] for v in o} == {min(o)}
 
     def test_transitivity(self):
         s4 = [Permutation.from_cycles(4, [(0, 1)]).images,
               Permutation.from_cycles(4, [(0, 1, 2, 3)]).images]
-        assert orbit_of(s4, 0) == set(range(4))
+        assert orbit_roots(s4, 4) == [0, 0, 0, 0]
         fix = [Permutation([0, 2, 1]).images]
-        assert orbit_of(fix, 0) == {0}
-        assert orbit_of(fix, 1) == {1, 2}
-        assert orbit_of([], 3) == {3}
+        assert orbit_roots(fix, 3) == [0, 1, 1]
+        assert orbit_roots([], 4) == [0, 1, 2, 3]
 
 
 class TestDeepBases:

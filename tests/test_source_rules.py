@@ -65,6 +65,19 @@ def test_search_runs_only_behind_the_twin_quotient():
     assert not found
 
 
+def test_orbits_only_from_the_search_union_find():
+    # every orbit comes from aut._merge: the search's own union-find, and
+    # orbit_roots running it for vertex_orbits and generation
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    assert _references(PACKAGE / "aut.py", {"_merge", "_root"}, "")
+    found = [ref for path in modules if path.name != "aut.py"
+             for ref in _references(path, {"_merge", "_root"}, "")]
+    found += [ref for path in modules
+              for ref in _references(path, {"orbit_of"}, "")]
+    assert not found
+
+
 def test_graph6_encoded_only_by_its_accessor():
     # the IR search compares leaves by their relabelled rows; graph6 is
     # encoded only when a caller reads CanonicalForm.canonical_graph6
