@@ -31,6 +31,11 @@ of a twin class is an automorphism, so the order is the quotient's times
 s! per merged class of s, and the generators are the quotient's, lifted
 block by block, plus one transposition and one cycle per class. An
 edgeless graph, a star or K_n is searched as at most two vertices.
+
+Seeds, automorphisms a caller already knows, start the search as its
+first generators, so orbit pruning skips the paths that would only find
+them again (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+``canonical_form`` checks them only where it uses them, off a quotient.
 """
 
 from __future__ import annotations
@@ -342,6 +347,13 @@ class _Search:
         ncells = _refine(self.adj, lab, cellof, cend, [t], ncells + 1, trace)
         return (lab, cellof, cend, ncells), tuple(trace)
 
+    def add_generator(self, gen: tuple[int, ...]) -> None:
+        """Record the automorphism gen, unless already known, with the
+        bitset of the vertices it moves."""
+        if gen not in self.gens:
+            self.gens.append(gen)
+            self.moved.append(_mask(v for v, w in enumerate(gen) if v != w))
+
     def _cert(self, leaf: _Leaf) -> tuple[int, ...]:
         """leaf's certificate, built on first use: the rows, as bitsets of
         positions, of the graph relabelled so that leaf.lab[i] becomes i."""
@@ -364,10 +376,7 @@ class _Search:
         ancestor of the two leaves; otherwise None."""
         if leaf.path != ref.path or self._cert(leaf) != self._cert(ref):
             return None
-        sig = tuple(v for _, v in sorted(zip(ref.lab, leaf.lab)))
-        if sig not in self.gens:
-            self.gens.append(sig)
-            self.moved.append(_mask(v for v, w in enumerate(sig) if v != w))
+        self.add_generator(tuple(v for _, v in sorted(zip(ref.lab, leaf.lab))))
         depth = 0
         while leaf.prefix[depth] == ref.prefix[depth]:
             depth += 1
@@ -458,7 +467,8 @@ def _block_generators(n: int, block: list[int], s: int) -> list[tuple]:
 
 
 def canonical_form(g: Graph,
-                   initial_partition: Optional[OrderedPartition] = None) -> CanonicalForm:
+                   initial_partition: Optional[OrderedPartition] = None,
+                   seeds: Iterable[tuple[int, ...]] = ()) -> CanonicalForm:
     """Canonical form, relabeling and automorphism generators of g.
 
     With the default unit partition the canonical string is invariant under
@@ -469,6 +479,9 @@ def canonical_form(g: Graph,
     The search runs on the twin-free coloured quotient of g. Its best leaf
     is expanded block by block into a labelling of g, which stays
     canonical because blocks of one colour are isomorphic in block order.
+    ``seeds``, automorphisms of g as image tuples, start the search. Each
+    must preserve every cell and g, else SoundnessError. On a quotient they
+    are skipped unchecked: they act on g, and the check is not free.
     """
     colored = initial_partition is not None
     if not colored:
@@ -480,6 +493,12 @@ def canonical_form(g: Graph,
     quotient = _twin_quotient(g, initial_partition)
     q, cells = quotient[:2] if quotient else (g, initial_partition)
     search = _Search(q)
+    for seed in () if quotient else seeds:
+        if not (len(seed) == n and all(_mask(seed[v] for v in c) == _mask(c)
+                                       for c in cells.cells)
+                and g.relabel(seed) == g):
+            raise SoundnessError("seed not a cell-preserving automorphism")
+        search.add_generator(seed)
     search.run(cells)
     lab, gens, order = search.rho.lab, search.gens, search.order
     if quotient:

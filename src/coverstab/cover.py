@@ -15,7 +15,9 @@ for every base.
 No search runs on the whole cover. For a connected non-bipartite base
 the cover is connected and bipartite with the two layers as its colour
 classes, so every cover automorphism preserves or swaps the layers:
-|Aut(BX)| is twice the order of the layer-preserving subgroup. Any other
+|Aut(BX)| is twice the order of the layer-preserving subgroup. That
+search starts from the lifts of Aut(X)'s generators, which it would
+otherwise find again one explored path each. Any other
 base is read off its components, since B(X ⊔ Y) = B(X) ⊔ B(Y) and
 B(D) ≅ 2D for a connected bipartite D, K1 included. Aut of a disjoint
 union is ∏ Aut(C) ≀ S_k over its isomorphism classes, C occurring k
@@ -146,12 +148,15 @@ def is_expected(d: DoubleCover, alpha: Permutation) -> bool:
     return layer_uniform and is_fiber_preserving(d, alpha)
 
 
-def _layered_cover_form(c: Graph) -> CanonicalForm:
+def _layered_cover_form(c: Graph, cf: CanonicalForm) -> CanonicalForm:
     """The search of the layer-preserving automorphisms of the cover of a
-    connected non-bipartite c; its order is half of |Aut(BC)|."""
+    connected non-bipartite c with canonical form cf, seeded with the lifts
+    of cf's generators (lazily, as a cover with twins ignores them); its
+    order is half of |Aut(BC)|."""
     n = c.n
     layers = OrderedPartition((tuple(range(n)), tuple(range(n, 2 * n))))
-    return canonical_form(double_cover(c).cover, layers)
+    lifts = (s + tuple(x + n for x in s) for s in cf.aut_generators)
+    return canonical_form(double_cover(c).cover, layers, lifts)
 
 
 def _bipartite_part(c: Graph) -> tuple[str, int]:
@@ -173,7 +178,7 @@ def _component_parts(c: Graph, cf: CanonicalForm) -> tuple[list, list]:
     if layers_bipartite(c, distance_layers(c, 0)):
         part = _bipartite_part(c)
         return [part], [part, part]  # B(D) is two copies of a bipartite D
-    lf = _layered_cover_form(c)
+    lf = _layered_cover_form(c, cf)
     return ([(cf.canonical_graph6, cf.aut_order)],
             [(lf.canonical_graph6, 2 * lf.aut_order)])
 
@@ -240,7 +245,7 @@ def stability_report(g: Graph) -> StabilityReport:
         aut_x = cf.aut_order
         # BX is two copies of a bipartite X; the lemma covers discrete X
         aut_bx = 2 * (aut_x ** 2 if bipartite else 1 if cf.discrete
-                      else _layered_cover_form(g).aut_order)
+                      else _layered_cover_form(g, cf).aut_order)
     expected = 2 * aut_x
     if aut_bx % expected:
         raise SoundnessError(

@@ -237,3 +237,20 @@ def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+def cube(d):
+    return Graph(1 << d, [(v, v ^ 1 << b) for v in range(1 << d)
+                          for b in range(d) if v < v ^ 1 << b])
+
+
+def paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return Graph(p, [(i, j) for i in range(p) for j in range(i + 1, p)
+                     if (j - i) % p in squares])
+
+
+def shuffled(g, rng):
+    images = list(range(g.n))
+    rng.shuffle(images)
+    return g.relabel(images)

@@ -15,7 +15,8 @@ from coverstab.families import (complete_graph, cycle, petersen, johnson,
 
 from oracles import (brute_force_aut_count, brute_force_automorphisms,
                      backtrack_aut_count, naive_closure, complement,
-                     line_graph, random_graph, colour_refinement)
+                     line_graph, random_graph, colour_refinement, cube,
+                     paley, shuffled)
 
 
 class TestRefine:
@@ -511,23 +512,6 @@ class TestLargeSymmetricInputs:
         f = math.factorial(2000)
         assert (report.aut_x_order, report.aut_bx_order) == (f, 2 * f * f)
         assert sizes and max(sizes) <= 2
-
-
-def cube(d):
-    return Graph(1 << d, [(v, v ^ 1 << b) for v in range(1 << d)
-                          for b in range(d) if v < v ^ 1 << b])
-
-
-def paley(p):
-    squares = {x * x % p for x in range(1, p)}
-    return Graph(p, [(i, j) for i in range(p) for j in range(i + 1, p)
-                     if (j - i) % p in squares])
-
-
-def shuffled(g, rng):
-    images = list(range(g.n))
-    rng.shuffle(images)
-    return g.relabel(images)
 
 
 def neighbourhood_colouring(rng, g):

@@ -346,9 +346,14 @@ class TestUsage:
 FORCED_FAILURES = {
     "cover order not divisible by 2|Aut(X)|": ("""
         real = cover.canonical_form
-        cover.canonical_form = lambda g, p=None: (
-            dataclasses.replace(real(g, p), aut_order=3) if g.n == 6
-            else real(g, p))
+        cover.canonical_form = lambda g, p=None, seeds=(): (
+            dataclasses.replace(real(g, p, seeds), aut_order=3) if g.n == 6
+            else real(g, p, seeds))
+        """, ["analyze", "Bw"]),
+    "lifted seed off the cover's automorphisms": ("""
+        real = cover.canonical_form
+        cover.canonical_form = lambda g, p=None, seeds=(): real(
+            g, p, tuple(s[::-1] for s in seeds))
         """, ["analyze", "Bw"]),
     "Schreier-Sims order off the search order": ("""
         perms.group_from_generators = lambda gens, n: Order(5)

@@ -4,9 +4,10 @@ from itertools import combinations_with_replacement, islice
 
 import pytest
 
-from coverstab import cover, perms
-from coverstab.graph_core import Graph, is_connected, is_bipartite, has_twins
-from coverstab.perms import Permutation
+from coverstab import aut, cover, perms
+from coverstab.graph_core import (Graph, SoundnessError, is_connected,
+                                  is_bipartite, has_twins)
+from coverstab.perms import Permutation, group_from_generators
 from coverstab.aut import (OrderedPartition, automorphism_group,
                            are_isomorphic, canonical_form, refine)
 from coverstab.census import enumerate_graphs
@@ -15,9 +16,10 @@ from coverstab.cover import (DoubleCover, double_cover, lift, tau, is_expected,
                              stability_report,
                              REASON_BIPARTITE, REASON_DISCONNECTED,
                              REASON_TWINS)
-from coverstab.families import complete_graph, cycle, petersen, johnson
+from coverstab.families import (complete_graph, cycle, petersen, johnson,
+                                 lex_product)
 
-from oracles import expected_group, naive_closure
+from oracles import cube, expected_group, naive_closure, paley, shuffled
 
 
 class TestDoubleCover:
@@ -283,7 +285,7 @@ class TestStabilityReport:
                     fast[-1] += 1
                     report = stability_report(g)
                     assert (report.aut_x_order, report.aut_bx_order) == (1, 2)
-                    assert cover._layered_cover_form(g).aut_order == 1
+                    assert cover._layered_cover_form(g, cf).aut_order == 1
         assert fast == [0, 0, 0, 0, 0, 8, 141, 3544]
 
     def test_cover_order_matches_vf2(self, graphs_by_order):
@@ -466,3 +468,91 @@ class TestComponentDecision:
         assert (r.aut_x_order, r.aut_bx_order) == (
             120 ** 100 * math.factorial(100), 240 ** 100 * math.factorial(100))
         assert len(seen) <= 101
+
+
+def layers(n):
+    """The two layers of the cover of an n-vertex graph."""
+    return OrderedPartition((tuple(range(n)), tuple(range(n, 2 * n))))
+
+
+def unseeded_cover_form(g):
+    """The layered cover search of g with no known automorphisms."""
+    return canonical_form(double_cover(g).cover, layers(g.n))
+
+
+class TestSeededCoverSearch:
+    # the layered cover search starts from the lifts of X's generators;
+    # pruning by true automorphisms changes neither the canonical string
+    # nor the order, only the relabelling and the generator list
+
+    def check_equivalent(self, g):
+        # Schreier-Sims runs on the seeded search's generators, which
+        # include the lifts; the unseeded list is checked the same way
+        # wherever automorphism_group is
+        plain = unseeded_cover_form(g)
+        seeded = cover._layered_cover_form(g, canonical_form(g))
+        assert seeded.canonical_graph6 == plain.canonical_graph6
+        order = group_from_generators(
+            [Permutation(p) for p in seeded.aut_generators], 2 * g.n).order()
+        assert seeded.aut_order == plain.aut_order == order
+
+    def test_every_connected_non_bipartite_graph_up_to_order_8(
+            self, graphs_by_order):
+        orders = {**graphs_by_order, 8: list(enumerate_graphs(8))}
+        checked = 0
+        for graphs in orders.values():
+            for g in graphs:
+                if is_connected(g) and not is_bipartite(g):
+                    self.check_equivalent(g)
+                    checked += 1
+        assert checked == 11859
+
+    @pytest.mark.parametrize("name, g, shuffles", [
+        ("C9[Q3]", lex_product(cycle(9), cube(3)), 1),  # |Aut| ~ 10^16
+        ("J(7,3)", johnson(7, 3), 3),
+        ("Paley(29)", paley(29), 3),
+    ], ids=["C9[Q3]", "J(7,3)", "Paley(29)"])
+    def test_seeded_shuffles(self, name, g, shuffles):
+        rng = random.Random(name)
+        for _ in range(shuffles):
+            self.check_equivalent(shuffled(g, rng))
+
+    @pytest.mark.parametrize("g", [johnson(7, 3), paley(29)],
+                             ids=["J(7,3)", "Paley(29)"])
+    def test_seeds_save_leaves(self, monkeypatch, g):
+        leaves = []
+
+        class Recording(aut._Search):
+            def _leaf(self, *args):
+                leaves.append(self)
+                super()._leaf(*args)
+
+        cf = canonical_form(g)
+        monkeypatch.setattr(aut, "_Search", Recording)
+        plain = unseeded_cover_form(g)
+        unseeded = len(leaves)
+        leaves.clear()
+        seeded = cover._layered_cover_form(g, cf)
+        assert seeded.aut_order == plain.aut_order
+        assert 0 < len(leaves) < unseeded
+
+    def test_bad_seeds_raise(self):
+        g = cycle(5)
+        cov, cells = double_cover(g).cover, layers(5)
+        swap = list(range(10))
+        swap[0], swap[1] = 1, 0  # keeps the layers, breaks edges
+        tau_images = tuple(range(5, 10)) + tuple(range(5))  # swaps layers
+        for seed in (tuple(swap), tau_images, tuple(range(9))):
+            with pytest.raises(SoundnessError):
+                canonical_form(cov, cells, [seed])
+        lift = (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)
+        assert canonical_form(cov, cells, [lift]).aut_order == 10
+
+    def test_seeds_skipped_on_a_twin_quotient(self):
+        # the cover of K4 minus an edge has twins, so the search runs on
+        # its quotient and the seeds, which act on the cover, go unused
+        g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        cov, cells = double_cover(g).cover, layers(4)
+        tau_images = tuple(range(4, 8)) + tuple(range(4))
+        assert (canonical_form(cov, cells, [tau_images]).aut_order
+                == unseeded_cover_form(g).aut_order)

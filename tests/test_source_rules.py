@@ -19,9 +19,9 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
-def _references(path, names, owner):
-    """Lines of path that name one of names, outside the body of owner,
-    written as module.function or module.Class.method ("" for none)."""
+def _outside(path, owner):
+    """The AST nodes of path outside the body of owner, written as
+    module.function or module.Class.method ("" for none)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     allowed = set()
     module, *cls, func = owner.split(".") if owner else ("", "")
@@ -33,14 +33,21 @@ def _references(path, names, owner):
         for node in scope:
             if isinstance(node, ast.FunctionDef) and node.name == func:
                 allowed = {id(inner) for inner in ast.walk(node)}
-    found = []
-    for node in ast.walk(tree):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias) else None)
-        if name in names and id(node) not in allowed:
-            found.append(f"{path.name}:{node.lineno} {name}")
-    return found
+    return [node for node in ast.walk(tree) if id(node) not in allowed]
+
+
+def _name(node):
+    """The name a Name, Attribute or import alias node spells, else None."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+
+
+def _references(path, names, owner):
+    """Lines of path that name one of names, outside the body of owner,
+    written as module.function or module.Class.method ("" for none)."""
+    return [f"{path.name}:{node.lineno} {_name(node)}"
+            for node in _outside(path, owner) if _name(node) in names]
 
 
 def test_schreier_sims_only_in_the_order_cross_check():
@@ -100,4 +107,26 @@ def test_census_has_one_generator_and_one_pool(names, owner):
     assert _references(PACKAGE / "census.py", names, "")
     found = [ref for path in modules
              for ref in _references(path, names, owner)]
+    assert not found
+
+
+def _seeded_calls(path, owner):
+    """Lines of path, outside the body of owner, that call canonical_form
+    with a third argument, a seeds keyword, or unpacked arguments."""
+    return [f"{path.name}:{node.lineno}" for node in _outside(path, owner)
+            if isinstance(node, ast.Call)
+            and _name(node.func) == "canonical_form"
+            and (len(node.args) > 2
+                 or any(isinstance(a, ast.Starred) for a in node.args)
+                 or any(k.arg in ("seeds", None) for k in node.keywords))]
+
+
+def test_only_the_layered_cover_search_passes_seeds():
+    # canonical_form trusts a checked seed as an automorphism; the lifts
+    # of X's generators into its layered cover are the one source of seeds
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    assert _seeded_calls(PACKAGE / "cover.py", "")
+    found = [ref for path in modules
+             for ref in _seeded_calls(path, "cover._layered_cover_form")]
     assert not found
