@@ -48,7 +48,6 @@ from typing import Iterable, Optional
 from .graph_core import (Graph, SoundnessError, bits, graph6_size_prefix,
                          has_twins)
 from . import graph_core, perms
-from .perms import Permutation
 
 
 @dataclass(frozen=True)
@@ -534,8 +533,7 @@ def automorphism_group(g: Graph,
     the order the search reports, or SoundnessError is raised.
     """
     cf = canonical_form(g, initial_partition)
-    grp = perms.group_from_generators(
-        [Permutation(p) for p in cf.aut_generators], g.n)
+    grp = perms.group_from_generators(cf.aut_generators, g.n)
     if grp.order() != cf.aut_order:
         raise SoundnessError(
             f"Schreier-Sims order {grp.order()} differs from the search's "

@@ -2,15 +2,20 @@
 decision with its trivial/non-trivial classification.
 
 The cover of a graph on n vertices lives on 2n points: base vertex x gives
-the fiber {x, x + n}, with x in layer 0 and x + n in layer 1. A graph is
-stable exactly when |Aut(BX)| = 2 |Aut(X)|: the expected subgroup (lifts of
-base automorphisms together with the layer swap) always has order exactly
-2 |Aut(X)|, so order equality means every cover automorphism is expected.
-Both orders come from the canonical-form search, and no function here
-builds a permutation group. The expected automorphisms lift(phi) tau^e
-are exactly the cover automorphisms that map fibers to fibers and all of
-layer 0 into one layer, which is how ``is_expected`` decides expectedness
-for every base.
+the fiber {x, x + n}, with x in layer 0 and x + n in layer 1. As everywhere
+in the package, an automorphism is its image tuple, alpha mapping y to
+alpha[y]. ``lift`` and ``tau`` return one; ``lift``, ``is_expected`` and
+the ``is_*`` predicates raise ValueError on a tuple that is no
+permutation of the points they act on.
+
+A graph is stable exactly when |Aut(BX)| = 2 |Aut(X)|: the expected
+subgroup (lifts of base automorphisms together with the layer swap) always
+has order exactly 2 |Aut(X)|, so order equality means every cover
+automorphism is expected. Both orders come from the canonical-form search,
+and no function here builds a permutation group. The expected
+automorphisms lift(phi) tau^e are exactly the cover automorphisms that map
+fibers to fibers and all of layer 0 into one layer, which is how
+``is_expected`` decides expectedness for every base.
 
 No search runs on the whole cover. For a connected non-bipartite base
 the cover is connected and bipartite with the two layers as its colour
@@ -33,11 +38,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+from typing import Sequence
 
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
                          has_twins, bits, component_layers, distance_layers,
                          layers_bipartite, induced_subgraph)
-from .perms import Permutation
 from .aut import CanonicalForm, OrderedPartition, canonical_form
 
 REASON_DISCONNECTED = "disconnected"
@@ -101,40 +106,43 @@ def double_cover(g: Graph) -> DoubleCover:
     return DoubleCover(base=g, cover=Graph._unchecked(rows))
 
 
-def is_base_automorphism(g: Graph, phi: Permutation) -> bool:
-    return phi.degree == g.n and g.relabel(phi.images) == g
+def is_base_automorphism(g: Graph, phi: Sequence[int]) -> bool:
+    """Does the image tuple phi preserve g's edges? ValueError (from
+    relabel) when phi is no permutation of g's vertices."""
+    return g.relabel(phi) == g
 
 
-def lift(d: DoubleCover, phi: Permutation) -> Permutation:
+def lift(d: DoubleCover, phi: Sequence[int]) -> tuple:
     """Lift a base automorphism to the cover, acting layer-wise."""
     if not is_base_automorphism(d.base, phi):
         raise ValueError("phi is not an automorphism of the base graph")
     n = d.base.n
-    return Permutation(tuple(phi.images) + tuple(x + n for x in phi.images))
+    return tuple(phi) + tuple(x + n for x in phi)
 
 
-def tau(d: DoubleCover) -> Permutation:
+def tau(d: DoubleCover) -> tuple:
     """The layer swap (x, i) -> (x, i+1)."""
     n = d.base.n
-    return Permutation(tuple(range(n, 2 * n)) + tuple(range(n)))
+    return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
-def is_cover_automorphism(d: DoubleCover, alpha: Permutation) -> bool:
+def is_cover_automorphism(d: DoubleCover, alpha: Sequence[int]) -> bool:
     return is_base_automorphism(d.cover, alpha)
 
 
-def is_fiber_preserving(d: DoubleCover, alpha: Permutation) -> bool:
+def is_fiber_preserving(d: DoubleCover, alpha: Sequence[int]) -> bool:
     """Does alpha map every fiber {x, x+n} onto some fiber {y, y+n}?"""
     n = d.base.n
-    img = alpha.images
+    if sorted(alpha) != list(range(2 * n)):
+        raise ValueError("alpha is not a bijection of the cover's points")
     for x in range(n):
-        a, b = img[x], img[x + n]
+        a, b = alpha[x], alpha[x + n]
         if a % n != b % n or a == b:
             return False
     return True
 
 
-def is_expected(d: DoubleCover, alpha: Permutation) -> bool:
+def is_expected(d: DoubleCover, alpha: Sequence[int]) -> bool:
     """Is alpha generated by lifts and the layer swap?
 
     Those elements are lift(phi) tau^e, so alpha is expected exactly when it
@@ -144,7 +152,7 @@ def is_expected(d: DoubleCover, alpha: Permutation) -> bool:
     if not is_cover_automorphism(d, alpha):
         raise ValueError("alpha is not an automorphism of the cover")
     n = d.base.n
-    layer_uniform = len({y // n for y in alpha.images[:n]}) <= 1
+    layer_uniform = len({y // n for y in alpha[:n]}) <= 1
     return layer_uniform and is_fiber_preserving(d, alpha)
 
 

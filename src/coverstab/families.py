@@ -11,7 +11,6 @@ from math import comb
 from typing import Iterable
 
 from .graph_core import Graph, bits, is_bipartite, has_twins
-from .perms import Permutation
 from .aut import vertex_orbits
 
 # Bitset rows cost about n^2/8 bytes, 128 MiB at this order.
@@ -158,7 +157,7 @@ def extend_xab(x: Graph, A: Iterable[int], B: Iterable[int]) -> XabExtension:
     return XabExtension(base=x, A=A, B=B, result=Graph(n + 4, edges))
 
 
-def instability_witness(e: XabExtension) -> Permutation:
+def instability_witness(e: XabExtension) -> tuple:
     """The double transposition on the cover of the extended graph that
     swaps the two a-vertices in layer 0 and the two b-vertices in layer 1.
 
@@ -169,5 +168,5 @@ def instability_witness(e: XabExtension) -> Permutation:
     images = list(range(2 * nn))
     images[e.a1], images[e.a2] = images[e.a2], images[e.a1]
     images[e.b1 + nn], images[e.b2 + nn] = images[e.b2 + nn], images[e.b1 + nn]
-    return Permutation(images)
+    return tuple(images)
 

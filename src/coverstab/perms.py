@@ -1,14 +1,14 @@
-"""Permutations on 0..n-1 and finitely generated permutation groups.
+"""Finitely generated permutation groups on 0..n-1, as image tuples.
 
-``Permutation`` is the public type of the verification API (the cover's
-lifts, layer swap and expectedness tests); the search engine passes
-automorphisms as plain image tuples, and orbits come from its union-find
-(``aut.orbit_roots``). Groups carry a base and strong generating set with
-explicit coset representatives, built by incremental Schreier-Sims from
-one worklist, giving exact (big-integer) order and membership queries; in
-the package, only ``aut.automorphism_group`` builds one, to cross-check
-the order the canonical-form search reports. Composition is
-left-to-right: compose(p, q) maps x to q(p(x)).
+An automorphism is its image tuple p, mapping x to p[x], everywhere in
+the package: the search engine's generators, the cover's lifts and layer
+swap, and the extension's witness. ``_mul`` and ``_inv`` are the one
+composition and inversion of such tuples; composition is left-to-right:
+_mul(p, q) maps x to q[p[x]]. Groups carry a base and strong generating
+set with explicit coset representatives, built by incremental
+Schreier-Sims from one worklist, giving exact (big-integer) order and
+membership queries; in the package, only ``aut.automorphism_group``
+builds one, to cross-check the order the canonical-form search reports.
 """
 
 from __future__ import annotations
@@ -17,114 +17,8 @@ from math import prod
 from typing import Iterable, Sequence
 
 
-class Permutation:
-    """Immutable permutation of {0..n-1}, stored as the image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError("images do not form a bijection of 0..n-1")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Permutation is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Build from cycles, applied left to right."""
-        images = list(range(n))
-        for cyc in cycles:
-            step = list(range(n))
-            for a, b in zip(cyc, cyc[1:]):
-                step[a] = b
-            if cyc:
-                step[cyc[-1]] = cyc[0]
-            images = [step[x] for x in images]
-        return cls(images)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __getitem__(self, x: int) -> int:
-        return self.images[x]
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_inv(self.images))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """self then other."""
-        return compose(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __str__(self) -> str:
-        return "[" + ",".join(map(str, self.images)) + "]"
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Non-trivial cycles, each starting at its smallest point."""
-        seen = [False] * len(self.images)
-        out = []
-        for i in range(len(self.images)):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()}, n={self.degree})"
-
-
-def identity(n: int) -> Permutation:
-    return Permutation.identity(n)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p first, then q."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return Permutation(_mul(p.images, q.images))
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-# ---------------------------------------------------------------------------
-# composition and inversion of image tuples: the one body of each, shared
-# by Permutation, PermGroup and the search engine
-
 def _mul(p: Sequence[int], q: Sequence[int]) -> tuple:
+    """p, then q."""
     return tuple(q[x] for x in p)
 
 
@@ -133,7 +27,6 @@ def _inv(p: Sequence[int]) -> tuple:
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
-
 
 
 class PermGroup:
@@ -151,19 +44,19 @@ class PermGroup:
     where the D_i are the basic orbits.
     """
 
-    def __init__(self, generators: Iterable[Permutation], degree: int):
-        gens = []
-        for p in generators:
-            if p.degree != degree:
-                raise ValueError(
-                    f"generator degree {p.degree} != group degree {degree}")
-            if not p.is_identity():
-                gens.append(p)
+    def __init__(self, generators: Iterable[Sequence[int]], degree: int):
         self.degree = degree
-        self.generators = tuple(gens)
         self._identity = tuple(range(degree))
+        gens = []
+        for p in map(tuple, generators):
+            if sorted(p) != list(self._identity):
+                raise ValueError(
+                    f"generator is not a permutation of degree {degree}")
+            if p != self._identity:
+                gens.append(p)
+        self.generators = tuple(gens)
         self._levels: list[tuple[int, list, dict]] = []
-        self._extend([(g.images, 0) for g in gens])
+        self._extend([(g, 0) for g in gens])
 
     def _sift(self, p: tuple, i: int = 0) -> tuple[tuple, int]:
         """Strip p through the levels from i down; returns the residue and
@@ -210,17 +103,17 @@ class PermGroup:
     def order(self) -> int:
         return prod(len(reps) for _, _, reps in self._levels)
 
-    def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
+    def contains(self, p: Sequence[int]) -> bool:
+        if len(p) != self.degree:
             raise ValueError(
-                f"degree mismatch: {p.degree} != {self.degree}")
-        return self._sift(p.images)[0] == self._identity
+                f"degree mismatch: {len(p)} != {self.degree}")
+        return self._sift(tuple(p))[0] == self._identity
 
     def __repr__(self) -> str:
         return (f"PermGroup(degree={self.degree}, order={self.order()}, "
                 f"ngens={len(self.generators)})")
 
 
-def group_from_generators(gens: Iterable[Permutation], n: int) -> PermGroup:
+def group_from_generators(gens: Iterable[Sequence[int]], n: int) -> PermGroup:
     """Construct a PermGroup with exact order/membership oracles."""
     return PermGroup(gens, n)

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive and separate from the package's code
-paths: string-based graph6 encoding, literal permutation filtering,
-breadth-first closures, textbook distance matrices, labeled enumeration.
+paths: image tuples from cycle notation, string-based graph6 encoding,
+literal permutation filtering, breadth-first closures, textbook distance
+matrices, labeled enumeration.
 Two lean on the package: ``expected_group`` takes membership in the
 expected group from the package's Schreier-Sims, which no decision path
 uses, and ``enumerate_graphs_naive`` deduplicates labeled graphs by
@@ -14,7 +15,19 @@ from itertools import permutations
 from coverstab.graph_core import Graph
 from coverstab.aut import canonical_form
 from coverstab.cover import lift, tau
-from coverstab.perms import Permutation, group_from_generators
+from coverstab.perms import group_from_generators
+
+
+def from_cycles(n, cycles):
+    """The image tuple on 0..n-1 of the product of cycles, applied left
+    to right, each cycle mapping every entry to the next."""
+    images = list(range(n))
+    for cyc in cycles:
+        step = list(range(n))
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            step[a] = b
+        images = [step[x] for x in images]
+    return tuple(images)
 
 
 def ref_encode_graph6(n, edges):
@@ -151,7 +164,7 @@ def expected_group(d):
     generators on the cover d: the reference for expected-automorphism
     membership. Its order must be 2|Aut(X)|."""
     cf = canonical_form(d.base)
-    gens = [tau(d)] + [lift(d, Permutation(phi)) for phi in cf.aut_generators]
+    gens = [tau(d)] + [lift(d, phi) for phi in cf.aut_generators]
     grp = group_from_generators(gens, 2 * d.base.n)
     assert grp.order() == 2 * cf.aut_order
     return grp

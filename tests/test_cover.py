@@ -7,7 +7,7 @@ import pytest
 from coverstab import aut, cover, perms
 from coverstab.graph_core import (Graph, SoundnessError, is_connected,
                                   is_bipartite, has_twins)
-from coverstab.perms import Permutation, group_from_generators
+from coverstab.perms import _mul, group_from_generators
 from coverstab.aut import (OrderedPartition, automorphism_group,
                            are_isomorphic, canonical_form, refine)
 from coverstab.census import enumerate_graphs
@@ -19,7 +19,8 @@ from coverstab.cover import (DoubleCover, double_cover, lift, tau, is_expected,
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                  lex_product)
 
-from oracles import cube, expected_group, naive_closure, paley, shuffled
+from oracles import (cube, expected_group, from_cycles, naive_closure, paley,
+                     shuffled)
 
 
 class TestDoubleCover:
@@ -53,23 +54,44 @@ class TestDoubleCover:
 class TestLiftTau:
     def test_lift_identity_and_rotation(self):
         d = double_cover(cycle(5))
-        assert lift(d, Permutation.identity(5)).is_identity()
-        rot = Permutation([1, 2, 3, 4, 0])
+        assert lift(d, tuple(range(5))) == tuple(range(10))
+        rot = (1, 2, 3, 4, 0)
         lf = lift(d, rot)
         assert lf[0] == 1 and lf[5] == 6
 
     def test_tau_involution_and_commutes(self):
         d = double_cover(petersen())
         t = tau(d)
-        assert (t * t).is_identity()
+        assert _mul(t, t) == tuple(range(20))
         for phi in automorphism_group(petersen()).generators:
             lf = lift(d, phi)
-            assert t * lf == lf * t
+            assert _mul(t, lf) == _mul(lf, t)
 
     def test_lift_requires_automorphism(self):
         d = double_cover(Graph(3, [(0, 1)]))
         with pytest.raises(ValueError):
-            lift(d, Permutation([1, 2, 0]))
+            lift(d, (1, 2, 0))
+
+    NOT_PERMUTATIONS = {"short": lambda n: tuple(range(n - 1)),
+                        "long": lambda n: tuple(range(n + 1)),
+                        "repeated": lambda n: (0,) + tuple(range(n - 1)),
+                        "out_of_range": lambda n: tuple(range(1, n + 1))}
+
+    @pytest.mark.parametrize("kind", sorted(NOT_PERMUTATIONS))
+    def test_non_permutations_are_refused(self, kind):
+        # a tuple of the wrong length or that is no bijection raises, and
+        # is never read as "not an automorphism"; every bijection of K3
+        # is one, so the message names the failed input check
+        make = self.NOT_PERMUTATIONS[kind]
+        d = double_cover(complete_graph(3))
+        with pytest.raises(ValueError, match="bijection"):
+            lift(d, make(3))
+        with pytest.raises(ValueError, match="bijection"):
+            is_cover_automorphism(d, make(6))
+        with pytest.raises(ValueError, match="bijection"):
+            is_expected(d, make(6))
+        with pytest.raises(ValueError, match="bijection"):
+            is_fiber_preserving(d, make(6))
 
     def test_lift_homomorphism(self):
         g = petersen()
@@ -77,7 +99,7 @@ class TestLiftTau:
         gens = automorphism_group(g).generators
         for p in gens:
             for q in gens:
-                assert lift(d, p * q) == lift(d, p) * lift(d, q)
+                assert lift(d, _mul(p, q)) == _mul(lift(d, p), lift(d, q))
 
 
 class TestExpectedSubgroup:
@@ -115,7 +137,7 @@ class TestIsExpected:
     def test_rejects_non_automorphism(self):
         d = double_cover(cycle(5))
         with pytest.raises(ValueError):
-            is_expected(d, Permutation.from_cycles(10, [(0, 1)]))
+            is_expected(d, from_cycles(10, [(0, 1)]))
 
     def test_fiber_rule_matches_membership(self, graphs_by_order):
         # the fiber characterization coincides with expected-subgroup
@@ -140,9 +162,8 @@ class TestIsExpected:
         for n in range(1, 7):
             for g in graphs_by_order[n]:
                 d = double_cover(g)
-                gens = [Permutation(p)
-                        for p in canonical_form(d.cover).aut_generators]
-                alphas = list(gens) + [p * q for p in gens for q in gens]
+                gens = canonical_form(d.cover).aut_generators
+                alphas = list(gens) + [_mul(p, q) for p in gens for q in gens]
                 exp = expected_group(d)
                 cases.append((Graph.from_rows(g.adj), d, alphas,
                               [exp.contains(a) for a in alphas],
@@ -164,7 +185,7 @@ class TestIsExpected:
         # but is not expected, because it splits layer 0 between the layers
         g = Graph(2)
         d = double_cover(g)
-        alpha = Permutation.from_cycles(4, [(0, 2)])
+        alpha = from_cycles(4, [(0, 2)])
         assert is_cover_automorphism(d, alpha)
         assert is_fiber_preserving(d, alpha)
         assert not is_expected(d, alpha)
@@ -248,7 +269,7 @@ class TestStabilityReport:
         d = double_cover(g)
         r = stability_report(g)
         assert not r.stable and REASON_DISCONNECTED in r.reasons
-        inside_fiber_swap = Permutation.from_cycles(8, [(3, 7)])
+        inside_fiber_swap = from_cycles(8, [(3, 7)])
         assert is_cover_automorphism(d, inside_fiber_swap)
         assert is_fiber_preserving(d, inside_fiber_swap)
         assert not expected_group(d).contains(inside_fiber_swap)
@@ -332,7 +353,7 @@ class TestStabilityReport:
         g = cycle(5)
         d = double_cover(g)
         gens = [tau(d)] + [lift(d, p) for p in automorphism_group(g).generators]
-        closure = naive_closure([p.images for p in gens], 10)
+        closure = naive_closure(gens, 10)
         assert expected_group(d).order() == len(closure)
 
 
@@ -492,8 +513,7 @@ class TestSeededCoverSearch:
         plain = unseeded_cover_form(g)
         seeded = cover._layered_cover_form(g, canonical_form(g))
         assert seeded.canonical_graph6 == plain.canonical_graph6
-        order = group_from_generators(
-            [Permutation(p) for p in seeded.aut_generators], 2 * g.n).order()
+        order = group_from_generators(seeded.aut_generators, 2 * g.n).order()
         assert seeded.aut_order == plain.aut_order == order
 
     def test_every_connected_non_bipartite_graph_up_to_order_8(

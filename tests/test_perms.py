@@ -6,19 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverstab.aut import orbit_roots
-from coverstab.perms import (Permutation, compose, inverse, identity,
-                             group_from_generators)
+from coverstab.perms import _inv, _mul, group_from_generators
 
-from oracles import naive_closure
+from oracles import from_cycles, naive_closure
 
 
 @st.composite
-def perms(draw, max_n=9):
+def perms(draw, count, max_n=9):
+    """count random permutations of one random degree up to max_n."""
     n = draw(st.integers(min_value=0, max_value=max_n))
-    images = list(range(n))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 30)))
-    rng.shuffle(images)
-    return Permutation(images)
+    out = []
+    for _ in range(count):
+        images = list(range(n))
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 30)))
+        rng.shuffle(images)
+        out.append(tuple(images))
+    return out
 
 
 def sparse_perm(rng, n):
@@ -28,7 +31,7 @@ def sparse_perm(rng, n):
     images = list(range(n))
     for a, b in zip(support, rng.sample(support, len(support))):
         images[a] = b
-    return Permutation(images)
+    return tuple(images)
 
 
 def random_gens(rng, n, count):
@@ -36,73 +39,82 @@ def random_gens(rng, n, count):
     for _ in range(count):
         images = list(range(n))
         rng.shuffle(images)
-        out.append(Permutation(images))
+        out.append(tuple(images))
     return out
 
 
+def identity(n):
+    return tuple(range(n))
+
+
 class TestPermutation:
+    # permutations are image tuples; _mul and _inv are their one
+    # composition and inversion
     def test_involution(self):
-        swap = Permutation.from_cycles(2, [(0, 1)])
-        assert compose(swap, swap) == identity(2)
+        swap = from_cycles(2, [(0, 1)])
+        assert swap == (1, 0)
+        assert _mul(swap, swap) == identity(2)
 
     def test_three_cycle_inverse(self):
-        c = Permutation.from_cycles(3, [(0, 1, 2)])
-        assert inverse(c) == Permutation.from_cycles(3, [(0, 2, 1)])
+        c = from_cycles(3, [(0, 1, 2)])
+        assert c == (1, 2, 0)
+        assert _inv(c) == from_cycles(3, [(0, 2, 1)])
 
     def test_identity_neutral(self):
-        p = Permutation([2, 0, 1, 3])
-        assert compose(p, identity(4)) == p
-        assert compose(identity(4), p) == p
+        p = (2, 0, 1, 3)
+        assert _mul(p, identity(4)) == p
+        assert _mul(identity(4), p) == p
 
-    @given(perms())
+    @given(perms(count=2))
     @settings(max_examples=100, deadline=None)
-    def test_inverse_property(self, p):
-        assert compose(p, p.inverse()).is_identity()
-        assert compose(p.inverse(), p).is_identity()
+    def test_inverse_property(self, pq):
+        p, q = pq
+        assert _mul(p, _inv(p)) == identity(len(p))
+        assert _mul(_inv(p), p) == identity(len(p))
+        assert _inv(_mul(p, q)) == _mul(_inv(q), _inv(p))
 
-    def test_composition_order(self):
+    @given(perms(count=3))
+    @settings(max_examples=100, deadline=None)
+    def test_composition_order(self, pqr):
         # left-to-right: first argument applied first
-        p = Permutation([1, 2, 0])
-        q = Permutation([0, 2, 1])
-        assert compose(p, q)[0] == q[p[0]]
+        p, q, r = pqr
+        assert all(_mul(p, q)[x] == q[p[x]] for x in range(len(p)))
+        assert _mul(_mul(p, q), r) == _mul(p, _mul(q, r))
+        assert _mul((1, 2, 0), (0, 2, 1))[0] == 2
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            compose(identity(3), identity(4))
+            group_from_generators([], 4).contains(identity(3))
+        with pytest.raises(ValueError):
+            group_from_generators([], 3).contains(identity(4))
 
     def test_not_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation([0, 0, 1])
-
-    def test_serialization(self):
-        p = Permutation([1, 0, 2])
-        assert str(p) == "[1,0,2]"
-        assert p.cycle_string() == "(0 1)"
-        assert identity(4).cycle_string() == "()"
-        assert Permutation.from_cycles(4, [(0, 1, 2)]).cycle_string() == "(0 1 2)"
+        for images in [(0, 0, 1), (0, 1, 3), (1, 2)]:
+            with pytest.raises(ValueError):
+                group_from_generators([images], 3)
 
 
 class TestGroupConstruction:
     def test_symmetric_group(self):
         g = group_from_generators(
-            [Permutation.from_cycles(4, [(0, 1)]),
-             Permutation.from_cycles(4, [(0, 1, 2, 3)])], 4)
+            [from_cycles(4, [(0, 1)]),
+             from_cycles(4, [(0, 1, 2, 3)])], 4)
         assert g.order() == 24
 
     def test_trivial_group(self):
         g = group_from_generators([], 5)
         assert g.order() == 1
-        assert not g.contains(Permutation.from_cycles(5, [(0, 1)]))
+        assert not g.contains(from_cycles(5, [(0, 1)]))
         assert g.contains(identity(5))
 
     def test_cyclic(self):
-        g = group_from_generators([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])], 5)
+        g = group_from_generators([from_cycles(5, [(0, 1, 2, 3, 4)])], 5)
         assert g.order() == 5
 
     def test_dihedral_on_pentagon(self):
         g = group_from_generators(
-            [Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]),
-             Permutation([0, 4, 3, 2, 1])], 5)
+            [from_cycles(5, [(0, 1, 2, 3, 4)]),
+             (0, 4, 3, 2, 1)], 5)
         assert g.order() == 10
 
     def test_order_divides_factorial_and_matches_closure(self):
@@ -112,7 +124,7 @@ class TestGroupConstruction:
             gens = random_gens(rng, n, rng.randrange(0, 4))
             g = group_from_generators(gens, n)
             assert math.factorial(n) % g.order() == 0
-            closure = naive_closure([p.images for p in gens], n)
+            closure = naive_closure(gens, n)
             assert g.order() == len(closure)
 
     def test_degree_mismatch(self):
@@ -130,13 +142,13 @@ class TestGroupQueries:
             for _ in range(4):  # 100 random words across the loop overall
                 word = identity(n)
                 for _ in range(rng.randrange(0, 6)):
-                    word = compose(word, rng.choice(gens))
+                    word = _mul(word, rng.choice(gens))
                 assert g.contains(word)
-            closure = naive_closure([p.images for p in gens], n)
+            closure = naive_closure(gens, n)
             outside = [p for p in permutations(range(n))
                        if p not in closure]
             for images in rng.sample(outside, min(4, len(outside))):
-                assert not g.contains(Permutation(images))
+                assert not g.contains(images)
 
     def test_orbits_partition_degree(self):
         # the naive closure's images of each orbit's least point are the
@@ -144,7 +156,7 @@ class TestGroupQueries:
         rng = random.Random(53)
         for _ in range(50):
             n = rng.randrange(1, 9)
-            gens = [p.images for p in random_gens(rng, n, rng.randrange(0, 3))]
+            gens = random_gens(rng, n, rng.randrange(0, 3))
             closure = naive_closure(gens, n)
             roots = orbit_roots(gens, n)
             orbits = {frozenset(v for v in range(n) if roots[v] == r)
@@ -155,10 +167,10 @@ class TestGroupQueries:
                 assert {roots[v] for v in o} == {min(o)}
 
     def test_transitivity(self):
-        s4 = [Permutation.from_cycles(4, [(0, 1)]).images,
-              Permutation.from_cycles(4, [(0, 1, 2, 3)]).images]
+        s4 = [from_cycles(4, [(0, 1)]),
+              from_cycles(4, [(0, 1, 2, 3)])]
         assert orbit_roots(s4, 4) == [0, 0, 0, 0]
-        fix = [Permutation([0, 2, 1]).images]
+        fix = [(0, 2, 1)]
         assert orbit_roots(fix, 3) == [0, 1, 1]
         assert orbit_roots([], 4) == [0, 1, 2, 3]
 
@@ -175,17 +187,17 @@ class TestDeepBases:
             gens = [sparse_perm(rng, n) for _ in range(rng.randrange(1, 4))]
             g = group_from_generators(gens, n)
             ref = combinatorics.PermutationGroup(
-                [combinatorics.Permutation(list(p.images)) for p in gens])
+                [combinatorics.Permutation(list(p)) for p in gens])
             assert g.order() == ref.order()
             for _ in range(3):
                 word = identity(n)
                 for _ in range(rng.randrange(1, 8)):
-                    word = compose(word, rng.choice(gens))
+                    word = _mul(word, rng.choice(gens))
                 assert g.contains(word)
             for _ in range(3):
                 images = list(range(n))
                 rng.shuffle(images)
                 member = ref.contains(combinatorics.Permutation(images))
-                assert g.contains(Permutation(images)) == member
+                assert g.contains(images) == member
                 outside += not member
         assert outside >= 60

@@ -62,6 +62,35 @@ def test_schreier_sims_only_in_the_order_cross_check():
     assert not found
 
 
+def _defines_or_names(path, name):
+    """Lines of path that define name, or name it in code, in an import
+    or as a quoted annotation."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if _name(node) == name
+            or getattr(node, "name", None) == name
+            or (isinstance(node, ast.Constant) and node.value == name)]
+
+
+def test_automorphisms_are_image_tuples():
+    # an automorphism is its image tuple everywhere in the package, so no
+    # permutation class may come back: perms keeps the tuple arithmetic
+    # and the Schreier-Sims group of aut.automorphism_group's cross-check
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [ref for path in modules
+             for ref in _defines_or_names(path, "Permutation")]
+    assert not found
+    tree = ast.parse((PACKAGE / "perms.py").read_text(encoding="utf-8"))
+    defs = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {node.name for node in tree.body if isinstance(node, defs)}
+    defined |= {t.id for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for t in ast.walk(node)
+                if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+    assert defined == {"_mul", "_inv", "PermGroup", "group_from_generators"}
+
+
 def test_search_runs_only_behind_the_twin_quotient():
     # canonical_form collapses twins before it searches; a search built
     # anywhere else would bypass the quotient
