@@ -10,8 +10,8 @@ non-trivially unstable graphs at small orders.
 from .graph_core import (Graph, GraphParseError, StructuralProfile,
                          parse_graph6, write_graph6, structural_profile,
                          induced_subgraph)
-from .aut import (OrderedPartition, CanonicalForm, refine, canonical_form,
-                  are_isomorphic, vertex_orbits)
+from .aut import (CanonicalForm, refine, canonical_form, are_isomorphic,
+                  vertex_orbits)
 from .cover import (DoubleCover, StabilityReport, double_cover, lift, tau,
                     is_expected, stability_report)
 from .criteria import (SrgParams, IntersectionArray, CriterionVerdict,

@@ -32,6 +32,8 @@ s! per merged class of s, and the generators are the quotient's, lifted
 block by block, plus one transposition and one cycle per class. An
 edgeless graph, a star or K_n is searched as at most two vertices.
 
+A coloured search starts from ordered cells, which ``_checked_cells``
+checks on entry: non-empty, each vertex in exactly one, else ValueError.
 Seeds, automorphisms a caller already knows, start the search as its
 first generators, so orbit pruning skips the paths that would only find
 them again (McKay & Piperno, "Practical graph isomorphism, II", 2014).
@@ -51,31 +53,6 @@ from . import graph_core, perms
 
 
 @dataclass(frozen=True)
-class OrderedPartition:
-    """Ordered partition of {0..n-1} into non-empty cells."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def unit(cls, n: int) -> "OrderedPartition":
-        return cls((tuple(range(n)),) if n else ())
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Iterable[int]], n: int) -> "OrderedPartition":
-        norm = tuple(tuple(sorted(c)) for c in cells)
-        flat = sorted(v for c in norm for v in c)
-        if any(not c for c in norm):
-            raise ValueError("empty cell in partition")
-        if flat != list(range(n)):
-            raise ValueError("cells do not partition the vertex set")
-        return cls(norm)
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
-
-
-@dataclass(frozen=True)
 class CanonicalForm:
     """Canonical relabeling of a graph plus the automorphisms found.
 
@@ -86,8 +63,8 @@ class CanonicalForm:
     a graph with twins the generators are the twin-free quotient's, lifted
     block by block, and a transposition and a cycle of each merged twin
     class. ``adj`` is the input graph's adjacency, kept by reference.
-    ``discrete``: refinement alone made the initial partition discrete
-    (one leaf, no twins).
+    ``discrete``: refinement alone made the initial cells discrete (one
+    leaf, no twins).
     """
 
     relabeling: tuple[int, ...]
@@ -106,6 +83,15 @@ class CanonicalForm:
 def _mask(vertices: Iterable[int]) -> int:
     """The bitset of a set of vertices."""
     return sum(1 << v for v in vertices)
+
+
+def _checked_cells(cells: Iterable[Iterable[int]], n: int) -> tuple[tuple, ...]:
+    """cells as a tuple of tuples, or ValueError unless they are non-empty
+    and together hold each of 0..n-1 exactly once."""
+    cells = tuple(map(tuple, cells))
+    if not all(cells) or sorted(v for c in cells for v in c) != list(range(n)):
+        raise ValueError("cells must be non-empty and partition 0..n-1")
+    return cells
 
 
 def _equitable(adj, cells: Iterable[Iterable[int]], trace: list[int]):
@@ -188,12 +174,11 @@ def _refine(adj, lab: list[int], cellof: list[int], cend: list[int],
     return ncells
 
 
-def refine(g: Graph, p: OrderedPartition) -> OrderedPartition:
-    """Coarsest equitable refinement of p, each cell sorted; the order of
-    the cells does not depend on the labels."""
-    lab, cellof, cend, _ = _equitable(g.adj, p.cells, [])
-    return OrderedPartition(tuple(tuple(sorted(lab[s:cend[s]]))
-                                  for s in sorted(set(cellof))))
+def refine(g: Graph, cells: Iterable[Iterable[int]]) -> tuple[tuple, ...]:
+    """Coarsest equitable refinement of the ordered cells, each cell
+    sorted; the order of the cells does not depend on the labels."""
+    lab, cellof, cend, _ = _equitable(g.adj, _checked_cells(cells, g.n), [])
+    return tuple(tuple(sorted(lab[s:cend[s]])) for s in sorted(set(cellof)))
 
 
 def _root(uf, v: int) -> int:
@@ -259,13 +244,13 @@ class _Search:
         # Backjump target depth after an automorphism discovery, or None.
         self.jump_to: Optional[int] = None
 
-    def run(self, initial: OrderedPartition) -> None:
-        """Walk the tree depth first. stack[d] is the open node with prefix
-        prefix[:d]: its partition, target cell, targets, untried targets,
-        orbit union-find and generators seen (``_orbits``), and whether it
-        lies on the first path."""
+    def run(self, cells: tuple[tuple[int, ...], ...]) -> None:
+        """Walk the tree from the cells depth first. stack[d] is the open
+        node with prefix prefix[:d]: its partition, target cell, targets,
+        untried targets, orbit union-find and generators seen
+        (``_orbits``), and whether it lies on the first path."""
         trace: list[int] = []
-        node = _equitable(self.adj, initial.cells, trace)
+        node = _equitable(self.adj, cells, trace)
         path, prefix, stack = [tuple(trace)], [], []
         while node or stack:
             if node:
@@ -398,9 +383,9 @@ class _Search:
             self.rho = leaf
 
 
-def _twin_quotient(g: Graph, initial: OrderedPartition):
+def _twin_quotient(g: Graph, cells: tuple[tuple[int, ...], ...]):
     """The twin-free coloured quotient of g, or None when g has no twins
-    within one cell of ``initial``.
+    within one of the cells.
 
     Each round merges every class of open twins (equal rows) and of closed
     twins (equal rows with the vertex's own bit) that lie in one colour
@@ -417,7 +402,7 @@ def _twin_quotient(g: Graph, initial: OrderedPartition):
             and len({row | 1 << v for v, row in enumerate(adj)}) == n):
         return None
     colour = [0] * n
-    for c, cell in enumerate(initial.cells):
+    for c, cell in enumerate(cells):
         for v in cell:
             colour[v] = c
     blocks = [[v] for v in range(n)]
@@ -446,10 +431,10 @@ def _twin_quotient(g: Graph, initial: OrderedPartition):
         blocks = [blocks[v] for v in kept]
     if not merged:
         return None
-    cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+    quotient_cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
     for v, c in enumerate(colour):
-        cells[c].append(v)
-    return (Graph._unchecked(adj), OrderedPartition(tuple(map(tuple, cells))),
+        quotient_cells[c].append(v)
+    return (Graph._unchecked(adj), tuple(map(tuple, quotient_cells)),
             blocks, merged)
 
 
@@ -466,14 +451,15 @@ def _block_generators(n: int, block: list[int], s: int) -> list[tuple]:
 
 
 def canonical_form(g: Graph,
-                   initial_partition: Optional[OrderedPartition] = None,
+                   cells: Optional[Iterable[Iterable[int]]] = None,
                    seeds: Iterable[tuple[int, ...]] = ()) -> CanonicalForm:
     """Canonical form, relabeling and automorphism generators of g.
 
     With the default unit partition the canonical string is invariant under
-    arbitrary relabelings. A non-unit ``initial_partition`` restricts the
-    search to cell-preserving maps (colored canonical form); results are
-    then only canonical among graphs carrying the same partition.
+    arbitrary relabelings. Ordered ``cells`` restrict the search to
+    cell-preserving maps (colored canonical form); results are then only
+    canonical among graphs carrying the same cells. They must be non-empty
+    and together hold each vertex once, else ValueError.
 
     The search runs on the twin-free coloured quotient of g. Its best leaf
     is expanded block by block into a labelling of g, which stays
@@ -482,19 +468,18 @@ def canonical_form(g: Graph,
     must preserve every cell and g, else SoundnessError. On a quotient they
     are skipped unchecked: they act on g, and the check is not free.
     """
-    colored = initial_partition is not None
-    if not colored:
-        cached = g._cache.get("canon")
-        if cached is not None:
-            return cached
-        initial_partition = OrderedPartition.unit(g.n)
     n = g.n
-    quotient = _twin_quotient(g, initial_partition)
-    q, cells = quotient[:2] if quotient else (g, initial_partition)
+    colored = cells is not None
+    if not colored and "canon" in g._cache:
+        return g._cache["canon"]
+    cells = (_checked_cells(cells, n) if colored
+             else (tuple(range(n)),) if n else ())
+    quotient = _twin_quotient(g, cells)
+    q, cells = quotient[:2] if quotient else (g, cells)
     search = _Search(q)
     for seed in () if quotient else seeds:
         if not (len(seed) == n and all(_mask(seed[v] for v in c) == _mask(c)
-                                       for c in cells.cells)
+                                       for c in cells)
                 and g.relabel(seed) == g):
             raise SoundnessError("seed not a cell-preserving automorphism")
         search.add_generator(seed)
@@ -524,15 +509,15 @@ def canonical_form(g: Graph,
     return cf
 
 
-def automorphism_group(g: Graph,
-                       initial_partition: Optional[OrderedPartition] = None) -> perms.PermGroup:
+def automorphism_group(g: Graph, cells: Optional[Iterable[Iterable[int]]] = None
+                       ) -> perms.PermGroup:
     """The full edge-preserving permutation group of g (cell-preserving
-    subgroup when an initial partition is given).
+    subgroup when ordered cells are given).
 
     The only place the package runs Schreier-Sims: its order must equal
     the order the search reports, or SoundnessError is raised.
     """
-    cf = canonical_form(g, initial_partition)
+    cf = canonical_form(g, cells)
     grp = perms.group_from_generators(cf.aut_generators, g.n)
     if grp.order() != cf.aut_order:
         raise SoundnessError(

@@ -27,10 +27,12 @@ base is read off its components, since B(X ⊔ Y) = B(X) ⊔ B(Y) and
 B(D) ≅ 2D for a connected bipartite D, K1 included. Aut of a disjoint
 union is ∏ Aut(C) ≀ S_k over its isomorphism classes, C occurring k
 times. Cover components are grouped by key, never by the base component
-they come from (B(C3) ≅ C6, so K3 ⊔ C6 has three isomorphic ones): a
-bipartite component's key is the least of its two colour-ordered forms,
-which for BC is the layer-ordered form, since the layer swap makes both
-colour orders give it.
+they come from (B(C3) ≅ C6, so K3 ⊔ C6 has three isomorphic ones). BC
+is keyed by its layer-ordered form, a bipartite component D by its unit
+form, or, when an automorphism swaps D's colour classes, by its form
+with them as cells, which both their orders give, as both layer orders
+give BC's. Only such a D can be isomorphic to a BC, and equal keys are
+equal graphs, so keys agree exactly on isomorphic cover components.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Sequence
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
                          has_twins, bits, component_layers, distance_layers,
                          layers_bipartite, induced_subgraph)
-from .aut import CanonicalForm, OrderedPartition, canonical_form
+from .aut import CanonicalForm, canonical_form
 
 REASON_DISCONNECTED = "disconnected"
 REASON_BIPARTITE = "bipartite_with_nontrivial_aut"
@@ -162,30 +164,23 @@ def _layered_cover_form(c: Graph, cf: CanonicalForm) -> CanonicalForm:
     of cf's generators (lazily, as a cover with twins ignores them); its
     order is half of |Aut(BC)|."""
     n = c.n
-    layers = OrderedPartition((tuple(range(n)), tuple(range(n, 2 * n))))
+    layers = range(n), range(n, 2 * n)
     lifts = (s + tuple(x + n for x in s) for s in cf.aut_generators)
     return canonical_form(double_cover(c).cover, layers, lifts)
-
-
-def _bipartite_part(c: Graph) -> tuple[str, int]:
-    """(key, |Aut|) of a connected bipartite c: the least of its two
-    colour-ordered forms, and the colour-preserving order, doubled when
-    the two forms agree (an automorphism swaps the colours)."""
-    layers = distance_layers(c, 0)
-    colours = tuple(tuple(bits(sum(layers[p::2]))) for p in (0, 1))
-    a, b = (canonical_form(c, OrderedPartition(cells))
-            for cells in (colours, colours[::-1]))
-    swap = a.canonical_graph6 == b.canonical_graph6
-    return (min(a.canonical_graph6, b.canonical_graph6),
-            a.aut_order * (2 if swap else 1))
 
 
 def _component_parts(c: Graph, cf: CanonicalForm) -> tuple[list, list]:
     """The (key, |Aut|) parts a connected c with canonical form cf adds
     to X and to BX."""
-    if layers_bipartite(c, distance_layers(c, 0)):
-        part = _bipartite_part(c)
-        return [part], [part, part]  # B(D) is two copies of a bipartite D
+    layers = distance_layers(c, 0)
+    if layers_bipartite(c, layers):
+        key, odd = cf.canonical_graph6, sum(layers[1::2])
+        if any(odd >> gen[0] & 1 for gen in cf.aut_generators):
+            # a colour swap: key c as a B(C) is keyed, colour classes as cells
+            colours = bits(sum(layers[::2])), bits(odd)
+            key = canonical_form(c, colours).canonical_graph6
+        part = (key, cf.aut_order)
+        return [part], [part] * 2  # B(D) is two copies of a bipartite D
     lf = _layered_cover_form(c, cf)
     return ([(cf.canonical_graph6, cf.aut_order)],
             [(lf.canonical_graph6, 2 * lf.aut_order)])

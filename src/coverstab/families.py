@@ -27,12 +27,14 @@ def _check_order(n: int, name: str) -> None:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    _check_order(n, f"K{n}")
     return Graph(n, combinations(range(n), 2), label=f"K{n}")
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
+    _check_order(n, f"C{n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)], label=f"C{n}")
 
 

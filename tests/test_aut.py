@@ -1,14 +1,16 @@
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from coverstab import aut, graph_core, perms
 from coverstab.graph_core import Graph, SoundnessError, parse_graph6
 from coverstab.perms import group_from_generators
-from coverstab.aut import (OrderedPartition, refine, canonical_form,
-                           automorphism_group, are_isomorphic, orbit_roots,
-                           vertex_orbits)
+from coverstab.aut import (refine, canonical_form, automorphism_group,
+                           are_isomorphic, orbit_roots, vertex_orbits)
 from coverstab.cover import double_cover, stability_report
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                 lex_product)
@@ -21,19 +23,19 @@ from oracles import (brute_force_aut_count, brute_force_automorphisms,
 
 class TestRefine:
     def test_regular_graph_stays_unit(self):
-        p = refine(complete_graph(4), OrderedPartition.unit(4))
-        assert p.cells == (tuple(range(4)),)
+        p = refine(complete_graph(4), [range(4)])
+        assert p == (tuple(range(4)),)
 
     def test_path_degree_split(self):
-        p = refine(Graph(3, [(0, 1), (1, 2)]), OrderedPartition.unit(3))
-        assert set(map(frozenset, p.cells)) == {frozenset({0, 2}), frozenset({1})}
+        p = refine(Graph(3, [(0, 1), (1, 2)]), [range(3)])
+        assert set(map(frozenset, p)) == {frozenset({0, 2}), frozenset({1})}
 
     def test_individualized_pentagon_not_discrete(self):
         # refinement alone does not make C5 discrete
-        p = refine(cycle(5), OrderedPartition.from_cells([[0], [1, 2, 3, 4]], 5))
-        assert set(map(frozenset, p.cells)) == {
+        p = refine(cycle(5), [[0], [1, 2, 3, 4]])
+        assert set(map(frozenset, p)) == {
             frozenset({0}), frozenset({1, 4}), frozenset({2, 3})}
-        assert not p.is_discrete
+        assert not all(len(c) == 1 for c in p)
 
     def test_refines_input(self):
         rng = random.Random(3)
@@ -42,15 +44,13 @@ class TestRefine:
             if g.n < 2:
                 continue
             anchor = rng.randrange(1, g.n)
-            start = OrderedPartition.from_cells(
-                [range(anchor), range(anchor, g.n)], g.n)
-            p = refine(g, start)
+            p = refine(g, [range(anchor), range(anchor, g.n)])
             # every output cell lies inside an input cell and the result is
             # equitable: all vertices in a cell see each cell equally often
-            for cell in p.cells:
+            for cell in p:
                 assert (set(cell) <= set(range(anchor))
                         or set(cell) <= set(range(anchor, g.n)))
-                for other in p.cells:
+                for other in p:
                     other_bits = 0
                     for v in other:
                         other_bits |= 1 << v
@@ -61,8 +61,8 @@ class TestRefine:
         rng = random.Random(4)
         for _ in range(50):
             g = random_graph(rng, 8)
-            p1 = refine(g, OrderedPartition.unit(8))
-            p2 = refine(g, OrderedPartition.unit(8))
+            p1 = refine(g, [range(8)])
+            p2 = refine(g, [range(8)])
             assert p1 == p2
 
     def test_coarsest_equitable_on_small_graphs(self, graphs_by_order):
@@ -71,12 +71,12 @@ class TestRefine:
         rng = random.Random(5)
         for n in range(1, 8):
             for g in graphs_by_order[n]:
-                starts = [OrderedPartition.unit(n)]
+                starts = [[range(n)]]
                 if n > 2:
                     starts += [random_colouring(rng, n, 2) for _ in range(2)]
                 for p in starts:
-                    assert (set(map(frozenset, refine(g, p).cells))
-                            == colour_refinement(g, p.cells))
+                    assert (set(map(frozenset, refine(g, p)))
+                            == colour_refinement(g, p))
 
     def test_coarsest_equitable_on_large_graphs(self):
         rng = random.Random(6)
@@ -85,9 +85,9 @@ class TestRefine:
         graphs = [lex_product(cycle(9), cube),
                   random_graph(rng, 150), random_graph(rng, 150)]
         for g in graphs:
-            for p in (OrderedPartition.unit(g.n), random_colouring(rng, g.n, 2)):
-                assert (set(map(frozenset, refine(g, p).cells))
-                        == colour_refinement(g, p.cells))
+            for p in ([range(g.n)], random_colouring(rng, g.n, 2)):
+                assert (set(map(frozenset, refine(g, p)))
+                        == colour_refinement(g, p))
 
     def test_cells_are_label_independent(self, graphs_by_order):
         # refining a relabelled graph from the relabelled partition gives
@@ -98,12 +98,11 @@ class TestRefine:
         for g in graphs:
             images = list(range(g.n))
             rng.shuffle(images)
-            for p in (OrderedPartition.unit(g.n), random_colouring(rng, g.n, 2)):
-                moved = OrderedPartition.from_cells(
-                    [[images[v] for v in cell] for cell in p.cells], g.n)
-                assert refine(g.relabel(images), moved).cells == tuple(
+            for p in ([range(g.n)], random_colouring(rng, g.n, 2)):
+                moved = [[images[v] for v in cell] for cell in p]
+                assert refine(g.relabel(images), moved) == tuple(
                     tuple(sorted(images[v] for v in cell))
-                    for cell in refine(g, p).cells)
+                    for cell in refine(g, p))
 
     def test_search_refines_after_each_individualization(self, graphs_by_order):
         # the first leaf lies at the first depth at which the coarsest
@@ -112,7 +111,7 @@ class TestRefine:
                                             lex_product(cycle(5), cycle(4))]
         for g in graphs:
             search = aut._Search(g)
-            search.run(OrderedPartition.unit(g.n))
+            search.run([range(g.n)])
             prefix = search.zeta.prefix
 
             def discrete(k):
@@ -122,6 +121,66 @@ class TestRefine:
 
             assert discrete(len(prefix))
             assert not prefix or not discrete(len(prefix) - 1)
+
+
+# Cells on C5 that are no ordered partition of its vertices.
+MALFORMED_CELLS = {
+    "vertex in no cell": ((0, 1), (2, 3)),
+    "shared vertex": ((0, 1, 2), (2, 3, 4)),
+    "vertex out of range": ((0, 1), (2, 3, 4, 5)),
+    "empty cell": ((0, 1), (), (2, 3, 4)),
+}
+
+
+class TestCellCheck:
+    # every coloured entry point checks its cells before refining or
+    # searching, and raises ValueError on cells that are not an ordered
+    # partition of the vertices
+
+    @pytest.mark.parametrize("check", [canonical_form, refine,
+                                       automorphism_group])
+    @pytest.mark.parametrize("name", [name for name in MALFORMED_CELLS
+                                      if name != "vertex in no cell"])
+    def test_malformed_cells_raise(self, name, check):
+        with pytest.raises(ValueError):
+            check(cycle(5), MALFORMED_CELLS[name])
+
+    def test_vertex_in_no_cell_raises(self):
+        # an unchecked search on such cells never returns, so the check
+        # runs in a subprocess whose timeout turns a hang into a failure
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from coverstab.aut import (automorphism_group, canonical_form,\n"
+            "                           refine)\n"
+            "from coverstab.families import cycle\n"
+            "for check in (canonical_form, refine, automorphism_group):\n"
+            "    try:\n"
+            f"        check(cycle(5), {MALFORMED_CELLS['vertex in no cell']!r})\n"
+            "    except ValueError:\n"
+            "        print(check.__name__)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["canonical_form", "refine",
+                                       "automorphism_group"]
+
+    def test_cell_preserving_order(self):
+        # rotations of C5 move {0, 1} off itself; the reflection fixing
+        # the edge {0, 1} keeps both cells
+        cells = ((0, 1), (2, 3, 4))
+        assert canonical_form(cycle(5), cells).aut_order == 2
+        assert automorphism_group(cycle(5), cells).order() == 2
+
+    def test_any_sequence_of_cells(self):
+        # ranges, lists and generators give the form of sorted tuples
+        g = cycle(6)
+        cf = canonical_form(g, ((0, 1, 2), (3, 4, 5)))
+        for cells in ([range(3), range(3, 6)], [[2, 0, 1], [5, 3, 4]],
+                      (iter(c) for c in [(0, 1, 2), (3, 4, 5)])):
+            other = canonical_form(g, cells)
+            assert other.canonical_graph6 == cf.canonical_graph6
+            assert other.relabeling == cf.relabeling
 
 
 class TestAutomorphismGroup:
@@ -185,8 +244,7 @@ class TestAutomorphismGroup:
         graphs += [Graph(12), complete_graph(6), johnson(6, 3), petersen()]
         cases = []
         for g in graphs:
-            layers = OrderedPartition(
-                (tuple(range(g.n)), tuple(range(g.n, 2 * g.n))))
+            layers = range(g.n), range(g.n, 2 * g.n)
             cases += [(g, None), (double_cover(g).cover, layers)]
         for g, partition in cases:
             cf = canonical_form(g, partition)
@@ -249,9 +307,9 @@ class TestCanonicalForm:
             cells = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
             images = list(range(n))
             rng.shuffle(images)
-            cf = canonical_form(g, OrderedPartition.from_cells(cells, n))
-            moved = canonical_form(g.relabel(images), OrderedPartition.from_cells(
-                [[images[v] for v in c] for c in cells], n))
+            cf = canonical_form(g, cells)
+            moved = canonical_form(g.relabel(images),
+                                   [[images[v] for v in c] for c in cells])
             assert moved.canonical_graph6 == cf.canonical_graph6
             assert moved.aut_order == cf.aut_order
             assert g.relabel(cf.relabeling) == parse_graph6(cf.canonical_graph6)
@@ -343,8 +401,7 @@ class TestIsomorphism:
         # automorphisms preserving an initial partition form a subgroup
         g = cycle(6)
         full = automorphism_group(g).order()
-        fixed = automorphism_group(
-            g, OrderedPartition.from_cells([[0], [1, 2, 3, 4, 5]], 6)).order()
+        fixed = automorphism_group(g, [[0], [1, 2, 3, 4, 5]]).order()
         assert full == 12 and fixed == 2
 
     def test_group_via_bsgs_matches_closure(self, graphs_by_order):
@@ -402,13 +459,14 @@ def twin_rich_graphs(rng):
 
 
 def random_colouring(rng, n, fewest=1):
-    """A random ordered partition of range(n) into fewest to 3 cells."""
+    """A random ordered partition of range(n) into fewest to 3 cells, each
+    cell sorted."""
     order = list(range(n))
     rng.shuffle(order)
     k = rng.randint(fewest, min(3, n))
     cuts = sorted(rng.sample(range(1, n), k - 1))
-    return OrderedPartition.from_cells(
-        [order[a:b] for a, b in zip([0] + cuts, cuts + [n])], n)
+    return tuple(tuple(sorted(order[a:b]))
+                 for a, b in zip([0] + cuts, cuts + [n]))
 
 
 def unreduced_order(g, partition):
@@ -435,13 +493,13 @@ class TestTwinQuotient:
             self, graphs_by_order):
         for g, partition in self.cases(graphs_by_order, 41):
             cf = canonical_form(g, partition)
-            unit = partition or OrderedPartition.unit(g.n)
+            unit = partition or (tuple(range(g.n)),)
             assert cf.aut_order == unreduced_order(g, unit)
             assert automorphism_group(g, partition).order() == cf.aut_order
             for p in cf.aut_generators:
                 assert g.relabel(p) == g
                 assert all(sorted(p[v] for v in cell) == list(cell)
-                           for cell in unit.cells)
+                           for cell in unit)
             assert (g.relabel(cf.relabeling)
                     == parse_graph6(cf.canonical_graph6))
 
@@ -450,8 +508,8 @@ class TestTwinQuotient:
         for g, partition in self.cases(graphs_by_order, 43):
             images = list(range(g.n))
             rng.shuffle(images)
-            moved = None if partition is None else OrderedPartition.from_cells(
-                [[images[v] for v in cell] for cell in partition.cells], g.n)
+            moved = None if partition is None else [
+                [images[v] for v in cell] for cell in partition]
             assert (canonical_form(g.relabel(images), moved).canonical_graph6
                     == canonical_form(g, partition).canonical_graph6)
 
@@ -578,11 +636,10 @@ class TestOrbitPruning:
         h = shuffled(g, rng)
         assert canonical_form(h).aut_order == order
         for cells in ([range(h.n)], neighbourhood_colouring(rng, h)):
-            partition = OrderedPartition.from_cells(cells, h.n)
             late.clear()
-            cf = canonical_form(h, partition)
+            cf = canonical_form(h, cells)
             assert late
-            assert automorphism_group(h, partition).order() == cf.aut_order
+            assert automorphism_group(h, cells).order() == cf.aut_order
             roots = orbit_roots(cf.aut_generators, h.n)
             ours = sorted(sorted(v for v in range(h.n) if roots[v] == r)
                           for r in set(roots))

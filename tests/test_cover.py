@@ -6,10 +6,10 @@ import pytest
 
 from coverstab import aut, cover, perms
 from coverstab.graph_core import (Graph, SoundnessError, is_connected,
-                                  is_bipartite, has_twins)
+                                  is_bipartite, has_twins, parse_graph6)
 from coverstab.perms import _mul, group_from_generators
-from coverstab.aut import (OrderedPartition, automorphism_group,
-                           are_isomorphic, canonical_form, refine)
+from coverstab.aut import (automorphism_group, are_isomorphic,
+                           canonical_form, refine)
 from coverstab.census import enumerate_graphs
 from coverstab.cover import (DoubleCover, double_cover, lift, tau, is_expected,
                              is_fiber_preserving, is_cover_automorphism,
@@ -300,8 +300,8 @@ class TestStabilityReport:
                 if not is_connected(g) or is_bipartite(g):
                     continue
                 cf = canonical_form(g)
-                unit = OrderedPartition.unit(n)
-                assert cf.discrete == refine(g, unit).is_discrete
+                assert cf.discrete == all(
+                    len(c) == 1 for c in refine(g, [range(n)]))
                 if cf.discrete:
                     fast[-1] += 1
                     report = stability_report(g)
@@ -399,14 +399,27 @@ def random_unions(graphs_by_order, count, seed):
 
 
 K3 = complete_graph(3)
+K33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+TREE33 = parse_graph6("ECR_")  # a 3+3 tree with no colour swap, |Aut| = 2
 
 # Unions whose cover components fall into fewer classes than their base
-# components: B(K3) = C6 and B(C5) = C10.
+# components: B(K3) = C6, B(C5) = C10 and B(K4) = Q3. The bipartite
+# components without a colour swap (P5, the 3+3 tree) match no cover of
+# a non-bipartite one, even beside C6 on the same six vertices.
 COLLISIONS = {
     "K3+C6": ([K3, cycle(6)], 72, 12 ** 3 * 6),
     "C5+C10": ([cycle(5), cycle(10)], 200, 20 ** 3 * 6),
     "K1+K2": ([Graph(1), complete_graph(2)], 2, 2 * 2 ** 2 * 2),
     "2K3+C6": ([K3, K3, cycle(6)], 6 ** 2 * 2 * 12, 12 ** 4 * 24),
+    "P5+K3": ([P5, K3], 2 * 6, 2 ** 2 * 2 * 12),
+    "Tree33+K3": ([TREE33, K3], 2 * 6, 2 ** 2 * 2 * 12),
+    "P5+C5": ([P5, cycle(5)], 2 * 10, 2 ** 2 * 2 * 20),
+    "Tree33+C6+K3": ([TREE33, cycle(6), K3], 2 * 12 * 6,
+                     2 ** 2 * 2 * 12 ** 3 * 6),
+    "2P5+K33+Q3+C5+K4": ([P5, P5, K33, cube(3), cycle(5), complete_graph(4)],
+                         2 ** 2 * 2 * 72 * 48 * 10 * 24,
+                         2 ** 4 * 24 * 72 ** 2 * 2 * 48 ** 3 * 6 * 20),
 }
 
 
@@ -490,10 +503,126 @@ class TestComponentDecision:
             120 ** 100 * math.factorial(100), 240 ** 100 * math.factorial(100))
         assert len(seen) <= 101
 
+    def test_cover_keys_match_isomorphism(self, graphs_by_order):
+        # every connected bipartite D of order <= 8, and a shuffled copy,
+        # and the cover BC of every connected non-bipartite C of order
+        # <= 4: two cover parts share a key exactly when the graphs have
+        # the same unit canonical form, and each part carries its |Aut|
+        orders = {**graphs_by_order, 8: list(enumerate_graphs(8))}
+        rng = random.Random(31)
+        pairs, covers, swaps = set(), set(), 0
+        for n, graphs in sorted(orders.items()):
+            for g in graphs:
+                if n == 1 or not is_connected(g):
+                    continue
+                if is_bipartite(g):
+                    for d in (g, shuffled(g, rng)):
+                        cf = canonical_form(d)
+                        (key, order), twin = cover._component_parts(d, cf)[1]
+                        assert twin == (key, order) == (key, cf.aut_order)
+                        # a swap exists when both colour orders give one form
+                        a, b = colour_classes(d)
+                        ab, ba = (canonical_form(d, cells).canonical_graph6
+                                  for cells in ((a, b), (b, a)))
+                        assert key == (ab if ab == ba else cf.canonical_graph6)
+                        pairs.add((key, cf.canonical_graph6))
+                    swaps += ab == ba
+                elif n <= 4:
+                    (key, order), = cover._component_parts(
+                        g, canonical_form(g))[1]
+                    whole = canonical_form(double_cover(g).cover)
+                    assert order == whole.aut_order
+                    pairs.add((key, whole.canonical_graph6))
+                    covers.add(whole.canonical_graph6)
+        assert len(pairs) == len({k for k, _ in pairs}) == len(
+            {form for _, form in pairs})
+        # K3, K4, K4 minus an edge and the paw have four distinct covers,
+        # each a connected bipartite graph of order <= 8 met above
+        assert len(covers) == 4
+        assert len(pairs) == sum(
+            is_connected(g) and is_bipartite(g)
+            for n in range(2, 9) for g in orders[n])
+        assert swaps == 46  # of the connected bipartite graphs, K2 included
+
+    def test_swap_rule_on_shuffled_mixed_unions(self):
+        # swap-free bipartite components (P5, the 3+3 tree), swapping ones
+        # (C6, Q3, K3,3) and K3 or C5, whose covers are C6 and C10, in
+        # seeded shuffled unions: against the whole-cover search and
+        # against VF2's component classes
+        rng = random.Random(37)
+        mix = [P5, TREE33, cycle(6), cube(3), K33]
+        for _ in range(30):
+            parts = [rng.choice(mix) for _ in range(rng.randint(1, 3))]
+            parts += [rng.choice([K3, cycle(5)])
+                      for _ in range(rng.randint(1, 2))]
+            g = disjoint_union(parts, rng)
+            orders = report_orders(g)
+            assert orders == whole_cover_orders(g)
+            assert orders == (vf2_union_order(g),
+                              vf2_union_order(double_cover(g).cover))
+
+    @pytest.mark.parametrize("part, coloured", [(P5, 0), (cycle(6), 1)],
+                             ids=["P5", "C6"])
+    def test_one_coloured_search_per_swapping_class(
+            self, monkeypatch, part, coloured):
+        # a bipartite class costs a coloured search only when an
+        # automorphism swaps its colours, and then one for the class
+        calls = []
+        real = cover.canonical_form
+
+        def recording(h, *args, **kwargs):
+            calls.append(bool(args or kwargs))
+            return real(h, *args, **kwargs)
+
+        monkeypatch.setattr(cover, "canonical_form", recording)
+        g = disjoint_union([part] * 20, random.Random(41))
+        r = stability_report(g)
+        a = canonical_form(part).aut_order
+        assert (r.aut_x_order, r.aut_bx_order) == (
+            a ** 20 * math.factorial(20), a ** 40 * math.factorial(40))
+        assert sum(calls) == coloured
+        assert len(calls) > 1  # the shuffled copies are searched uncoloured
+
+
+def colour_classes(g):
+    """The colour classes of a connected bipartite g, vertex 0's first."""
+    colour, queue = {0: 0}, [0]
+    for v in queue:
+        for u in range(g.n):
+            if g.has_edge(u, v) and u not in colour:
+                colour[u] = 1 - colour[v]
+                queue.append(u)
+    return tuple(tuple(v for v in range(g.n) if colour[v] == c) for c in (0, 1))
+
+
+def vf2_union_order(g):
+    """|Aut(g)| by networkx: VF2 sorts g's components into isomorphism
+    classes and counts the automorphisms of each class's first member;
+    k copies of C contribute |Aut(C)|^k k!."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    classes = []
+    for nodes in nx.connected_components(h):
+        c = h.subgraph(nodes)
+        for cls in classes:
+            if nx.is_isomorphic(cls[0], c):
+                cls[1] += 1
+                break
+        else:
+            classes.append([c, 1])
+    out = 1
+    for c, k in classes:
+        count = sum(1 for _ in GraphMatcher(c, c).isomorphisms_iter())
+        out *= count ** k * math.factorial(k)
+    return out
+
 
 def layers(n):
     """The two layers of the cover of an n-vertex graph."""
-    return OrderedPartition((tuple(range(n)), tuple(range(n, 2 * n))))
+    return tuple(range(n)), tuple(range(n, 2 * n))
 
 
 def unseeded_cover_form(g):

@@ -8,9 +8,10 @@ from coverstab.aut import are_isomorphic, canonical_form, vertex_orbits
 from coverstab.cover import (double_cover, is_cover_automorphism,
                              is_fiber_preserving, stability_report)
 from coverstab.criteria import srg_params
+from coverstab import families
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                 lex_product, lexcycle, extend_xab,
-                                instability_witness)
+                                instability_witness, MAX_CONSTRUCTED)
 from coverstab.perms import _mul
 
 from oracles import naive_johnson, random_graph
@@ -31,6 +32,23 @@ class TestBasicFamilies:
 
     def test_petersen(self):
         assert srg_params(petersen()).as_tuple() == (10, 3, 0, 1)
+
+    @pytest.mark.parametrize("build", [complete_graph, cycle],
+                             ids=["complete_graph", "cycle"])
+    def test_too_large_is_refused_before_building(self, monkeypatch, build):
+        # K_n above the cap would fill gigabytes of rows; the order is
+        # refused before a Graph is made, which here fails at once
+        class Built(Exception):
+            pass
+
+        def build_nothing(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(families, "Graph", build_nothing)
+        with pytest.raises(ValueError, match=str(MAX_CONSTRUCTED + 1)):
+            build(MAX_CONSTRUCTED + 1)
+        with pytest.raises(Built):
+            build(MAX_CONSTRUCTED)
 
 
 class TestJohnson:

@@ -159,3 +159,20 @@ def test_only_the_layered_cover_search_passes_seeds():
     found = [ref for path in modules
              for ref in _seeded_calls(path, "cover._layered_cover_form")]
     assert not found
+
+
+def test_cells_enter_the_search_only_checked():
+    # a coloured search takes plain cells, which canonical_form and refine
+    # pass through the one check aut._checked_cells; the partition class
+    # and the two-search key of a bipartite component stay gone
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [ref for path in modules
+             for name in ("OrderedPartition", "_bipartite_part")
+             for ref in _defines_or_names(path, name)]
+    assert not found
+    aut_py = PACKAGE / "aut.py"
+    assert _defines_or_names(aut_py, "_checked_cells")
+    everywhere = len(_references(aut_py, {"_checked_cells"}, ""))
+    for owner in ("aut.canonical_form", "aut.refine"):
+        assert len(_references(aut_py, {"_checked_cells"}, owner)) < everywhere
