@@ -8,6 +8,8 @@ for the canonical form), walking the tree with an explicit stack. Each
 node refines one array of cells in place (``_refine``), and its exact
 refinement trace is its invariant. Leaves compare by path, then by their
 relabelled rows, built only when a reference leaf has the same path. Each
+row sums a bit table over the vertex's neighbour list, which a search
+builds at its first certificate (``graph_core.neighbour_lists``). Each
 open node keeps a union-find of its orbits under the automorphisms found
 that fix its prefix, fed only the generators found since it last looked,
 and tries the least vertex of each orbit. Skipped branches are provably
@@ -234,7 +236,7 @@ class _Search:
     """
 
     def __init__(self, g: Graph):
-        self.adj = g.adj
+        self.g = g  # the graph searched, perhaps a twin quotient
         self.n = g.n
         self.gens: list[tuple[int, ...]] = []
         self.moved: list[int] = []  # the bitset each generator moves
@@ -250,7 +252,7 @@ class _Search:
         untried targets, orbit union-find and generators seen
         (``_orbits``), and whether it lies on the first path."""
         trace: list[int] = []
-        node = _equitable(self.adj, cells, trace)
+        node = _equitable(self.g.adj, cells, trace)
         path, prefix, stack = [tuple(trace)], [], []
         while node or stack:
             if node:
@@ -328,7 +330,7 @@ class _Search:
         for u in lab[t + 1:e]:
             cellof[u] = t + 1
         trace: list[int] = []
-        ncells = _refine(self.adj, lab, cellof, cend, [t], ncells + 1, trace)
+        ncells = _refine(self.g.adj, lab, cellof, cend, [t], ncells + 1, trace)
         return (lab, cellof, cend, ncells), tuple(trace)
 
     def add_generator(self, gen: tuple[int, ...]) -> None:
@@ -342,16 +344,11 @@ class _Search:
         """leaf's certificate, built on first use: the rows, as bitsets of
         positions, of the graph relabelled so that leaf.lab[i] becomes i."""
         if leaf.cert is None:
-            pos = {v: i for i, v in enumerate(leaf.lab)}
-            rows = []
-            for v in leaf.lab:
-                row, rest = 0, self.adj[v]
-                while rest:
-                    low = rest & -rest
-                    row |= 1 << pos[low.bit_length() - 1]
-                    rest ^= low
-                rows.append(row)
-            leaf.cert = tuple(rows)
+            bit = [1 << i for i in perms._inv(leaf.lab)]
+            nbrs = graph_core.neighbour_lists(self.g)
+            # from a list, since a tuple grown from a generator reallocates
+            leaf.cert = tuple([sum(map(bit.__getitem__, nbrs[v]))
+                               for v in leaf.lab])
         return leaf.cert
 
     def _match(self, ref: _Leaf, leaf: _Leaf) -> Optional[int]:

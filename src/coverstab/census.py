@@ -132,6 +132,8 @@ def _descendants(g: Graph, n: int) -> Iterator[Graph]:
 
 
 def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"the order n must be at least 1, not {n}")
     if n not in KNOWN_GRAPH_COUNTS:
         raise ValueError(
             f"built-in generation supports 1 <= n <= "

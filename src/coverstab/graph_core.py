@@ -44,8 +44,8 @@ class Graph:
     compare by (n, adj) and are safe to share across threads; the private
     ``_cache`` slot memoizes derived data (canonical form, stability
     report, the BFS layer table of ``distance_layers``, the
-    ``intersection_array`` of the criteria) without affecting value
-    semantics.
+    ``intersection_array`` of the criteria, the ``neighbour_lists`` that
+    relabelling reads) without affecting value semantics.
     """
 
     __slots__ = ("n", "adj", "label", "_cache")
@@ -114,12 +114,10 @@ class Graph:
         """Return the graph with vertex v renamed to images[v]."""
         if sorted(images) != list(range(self.n)):
             raise ValueError("relabeling is not a bijection of the vertex set")
+        bit = [1 << i for i in images]
         rows = [0] * self.n
-        for v, row in enumerate(self.adj):
-            acc = 0
-            for u in bits(row):
-                acc |= 1 << images[u]
-            rows[images[v]] = acc
+        for v, nbrs in enumerate(neighbour_lists(self)):
+            rows[images[v]] = sum(map(bit.__getitem__, nbrs))
         return Graph._unchecked(rows, label=self.label)
 
     def __eq__(self, other: object) -> bool:
@@ -148,6 +146,15 @@ class StructuralProfile:
     twin_free: bool
     every_edge_on_triangle: bool
     triangle_free: bool
+
+
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours in ascending order, built on first use and
+    memoized per graph, so that a relabelling maps them in C."""
+    nbrs = g._cache.get("nbrs")
+    if nbrs is None:
+        nbrs = g._cache["nbrs"] = [list(bits(row)) for row in g.adj]
+    return nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +333,13 @@ def has_twins(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> Optional[int]:
-    """Max eccentricity, or None (infinite) when disconnected."""
+    """Max eccentricity, or None (infinite) when disconnected. Layer tables
+    not yet memoized stay unstored: on a path they hold Θ(n³) bits."""
     if not is_connected(g):
         return None
-    return max((len(distance_layers(g, x)) - 1 for x in range(g.n)), default=0)
+    table = g._cache.get("layers") or [None] * g.n
+    return max((len(table[x] or bfs_layers(g, x)) - 1 for x in range(g.n)),
+               default=0)
 
 
 def triangle_flags(g: Graph) -> tuple[bool, bool]:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and separate from the package's code
 paths: image tuples from cycle notation, string-based graph6 encoding,
-literal permutation filtering, breadth-first closures, textbook distance
-matrices, labeled enumeration.
+edge-set relabelling, bit-by-bit leaf certificates, literal permutation
+filtering, breadth-first closures, textbook distance matrices, labeled
+enumeration.
 Two lean on the package: ``expected_group`` takes membership in the
 expected group from the package's Schreier-Sims, which no decision path
 uses, and ``enumerate_graphs_naive`` deduplicates labeled graphs by
@@ -56,6 +57,27 @@ def naive_johnson(n, k):
     edges = [(i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
              if i < j and bin(a & b).count("1") == k - 1]
     return Graph(len(masks), edges)
+
+
+def naive_relabel(g, images):
+    """g with vertex v renamed to images[v], rebuilt from its edge set."""
+    return Graph(g.n, [(images[u], images[v]) for u, v in g.edges()])
+
+
+def lowbit_certificate(adj, lab):
+    """The rows, as bitsets of positions, of the graph with adjacency adj
+    relabelled so that lab[i] becomes i, each built by walking the lowest
+    set bit of a row: the search's leaf certificate, computed bit by bit."""
+    pos = {v: i for i, v in enumerate(lab)}
+    rows = []
+    for v in lab:
+        row, rest = 0, adj[v]
+        while rest:
+            low = rest & -rest
+            row |= 1 << pos[low.bit_length() - 1]
+            rest ^= low
+        rows.append(row)
+    return tuple(rows)
 
 
 def brute_force_automorphisms(g):

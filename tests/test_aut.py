@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 from coverstab import aut, graph_core, perms
-from coverstab.graph_core import Graph, SoundnessError, parse_graph6
+from coverstab.graph_core import (Graph, SoundnessError, is_bipartite,
+                                  is_connected, parse_graph6)
 from coverstab.perms import group_from_generators
 from coverstab.aut import (refine, canonical_form, automorphism_group,
                            are_isomorphic, orbit_roots, vertex_orbits)
+from coverstab.census import enumerate_graphs
 from coverstab.cover import double_cover, stability_report
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                 lex_product)
@@ -18,7 +20,7 @@ from coverstab.families import (complete_graph, cycle, petersen, johnson,
 from oracles import (brute_force_aut_count, brute_force_automorphisms,
                      backtrack_aut_count, naive_closure, complement,
                      line_graph, random_graph, colour_refinement, cube,
-                     paley, shuffled)
+                     lowbit_certificate, paley, shuffled)
 
 
 class TestRefine:
@@ -675,3 +677,85 @@ class TestLazyGraph6:
             assert calls == [g.n]
             assert (g.relabel(cf.relabeling)
                     == parse_graph6(cf.canonical_graph6))
+
+
+class TestCertificates:
+    # a leaf's certificate sums a bit table over the memoized neighbour
+    # lists of the graph searched, which may be a twin quotient; it must
+    # equal the rows relabelled bit by bit
+
+    @staticmethod
+    def check_every_leaf(monkeypatch, graphs):
+        checked = []
+
+        class Checking(aut._Search):
+            def _leaf(self, lab, path, prefix):
+                leaf = aut._Leaf(list(path), list(lab), list(prefix))
+                assert self._cert(leaf) == lowbit_certificate(self.g.adj, lab)
+                checked.append(self.g)
+                super()._leaf(lab, path, prefix)
+
+        monkeypatch.setattr(aut, "_Search", Checking)
+        orders = []  # (order of the input, order searched) per leaf
+        for g in graphs:
+            start = len(checked)
+            canonical_form(Graph.from_rows(g.adj))  # not the memoized form
+            orders += [(g.n, q.n) for q in checked[start:]]
+        return orders
+
+    def test_every_leaf_up_to_order_7(self, monkeypatch, graphs_by_order):
+        graphs = [g for n in sorted(graphs_by_order)
+                  for g in graphs_by_order[n]]
+        orders = self.check_every_leaf(monkeypatch, graphs)
+        assert len(graphs) == 1252
+        assert len(orders) > len(graphs)
+        assert any(q < n for n, q in orders)  # twin quotients searched too
+
+    @pytest.mark.parametrize("g", [
+        lex_product(cycle(8), cube(3)),
+        paley(29),
+        double_cover(complete_graph(20)).cover,  # the crown graph
+    ], ids=["C8[Q3]", "Paley(29)", "crown(20)"])
+    def test_every_leaf_of_symmetric_searches(self, monkeypatch, g):
+        h = shuffled(g, random.Random(g.n))
+        assert len(self.check_every_leaf(monkeypatch, [h])) > 1
+
+
+class TestLazyNeighbourLists:
+    def test_one_leaf_searches_build_none(self, monkeypatch):
+        # a search builds the lists at its first certificate, so the
+        # reports of a discrete X never build them, on X or on its cover
+        calls = []
+        real = graph_core.neighbour_lists
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        discrete = next(Graph.from_rows(g.adj) for g in enumerate_graphs(8)
+                        if canonical_form(g).discrete and is_connected(g)
+                        and not is_bipartite(g))
+        gnp = random_graph(random.Random(20), 150)
+        monkeypatch.setattr(graph_core, "neighbour_lists", counting)
+        for g in (discrete, gnp):
+            report = stability_report(g)
+            assert report.stable
+            assert "nbrs" not in g._cache
+        assert calls == []
+        stability_report(petersen())  # a symmetric search does build them
+        assert calls
+
+    def test_seed_check_shares_the_searched_cover_lists(self, monkeypatch):
+        # the seed check relabels the cover, and the cover's search then
+        # reads the lists that check memoized
+        built = []
+        real = graph_core.neighbour_lists
+
+        def recording(g):
+            if "nbrs" not in g._cache:
+                built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graph_core, "neighbour_lists", recording)
+        stability_report(paley(29))
+        assert [g.n for g in built] == [29, 58]

@@ -292,6 +292,14 @@ class TestCensus:
         assert not out and "--stream" in err
         assert not calls
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_order_below_one_is_a_usage_error(self, capsys, n):
+        code, out, err = invoke(capsys, "census", "--n", n)
+        assert code == EXIT_USAGE
+        assert not out
+        assert f"must be at least 1, not {n}" in err
+        assert "--stream" not in err
+
     def test_unwritable_emit_path_fails_before_the_census(
             self, capsys, monkeypatch, tmp_path):
         # The output file is opened before any graph is generated, so a
@@ -354,6 +362,11 @@ FORCED_FAILURES = {
         real = cover.canonical_form
         cover.canonical_form = lambda g, p=None, seeds=(): real(
             g, p, tuple(s[::-1] for s in seeds))
+        """, ["analyze", "Bw"]),
+    "lifted seed with a repeated image": ("""
+        real = cover.canonical_form
+        cover.canonical_form = lambda g, p=None, seeds=(): real(
+            g, p, tuple(s[:-1] + s[-2:-1] for s in seeds))
         """, ["analyze", "Bw"]),
     "Schreier-Sims order off the search order": ("""
         perms.group_from_generators = lambda gens, n: Order(5)

@@ -691,7 +691,8 @@ class TestSeededCoverSearch:
         swap = list(range(10))
         swap[0], swap[1] = 1, 0  # keeps the layers, breaks edges
         tau_images = tuple(range(5, 10)) + tuple(range(5))  # swaps layers
-        for seed in (tuple(swap), tau_images, tuple(range(9))):
+        repeated = (1, 2, 3, 4, 0, 6, 7, 8, 9, 6)  # 6 twice, 5 never
+        for seed in (tuple(swap), tau_images, tuple(range(9)), repeated):
             with pytest.raises(SoundnessError):
                 canonical_form(cov, cells, [seed])
         lift = (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)

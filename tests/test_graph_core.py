@@ -3,15 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coverstab import graph_core
 from coverstab.graph_core import (Graph, GraphParseError, parse_graph6,
                                   write_graph6, distance_layers,
                                   structural_profile, induced_subgraph,
                                   has_twins, diameter, is_connected,
-                                  is_bipartite, bfs_distances)
+                                  is_bipartite, bfs_distances,
+                                  neighbour_lists)
 from coverstab.families import complete_graph, cycle, petersen, johnson
 from coverstab.aut import vertex_orbits
 
-from oracles import ref_encode_graph6, naive_all_pairs_distances, random_graph
+from oracles import (ref_encode_graph6, naive_all_pairs_distances,
+                     naive_relabel, random_graph)
 
 
 def k(n):
@@ -124,6 +127,35 @@ class TestGraphType:
         assert h.edge_count() == 5
         assert h != Graph(5)
 
+    def test_relabel_against_the_edge_set(self):
+        # relabel sums a bit table over the memoized neighbour lists
+        rng = random.Random(19)
+        for n in (0, 1, 2, 7, 23, 40):
+            for p in (0.1, 0.5, 0.9):
+                g = random_graph(rng, n, p)
+                for _ in range(3):
+                    images = list(range(n))
+                    rng.shuffle(images)
+                    assert (g.relabel(images) == g.relabel(tuple(images))
+                            == naive_relabel(g, images))
+                assert neighbour_lists(g) == [
+                    [u for u in range(n) if g.has_edge(v, u)]
+                    for v in range(n)]
+
+    @pytest.mark.parametrize("images", [
+        (1, 2, 0), (1, 2, 0, 3, 3), (1, 2, 0, 3, 5), (1, 2, 0, 3, -1),
+    ], ids=["short", "repeated", "out-of-range", "negative"])
+    def test_relabel_rejects_non_bijections(self, images):
+        with pytest.raises(ValueError, match="not a bijection"):
+            cycle(5).relabel(images)
+
+    def test_neighbour_lists_built_once(self):
+        g = petersen()
+        assert "nbrs" not in g._cache
+        nbrs = neighbour_lists(g)
+        assert g.relabel(range(10)) == g
+        assert neighbour_lists(g) is nbrs is g._cache["nbrs"]
+
     def test_edges_sorted(self):
         g = Graph(4, [(2, 3), (0, 2), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
@@ -158,6 +190,29 @@ class TestDistancePartition:
                         assert not any(layer >> v & 1 for layer in layers)
                     else:
                         assert layers[int(dist[x][v])] >> v & 1
+
+    def test_diameter_stores_no_new_layer_tables(self):
+        # a path's layer tables hold Θ(n³) bits, so diameter reads the
+        # memo but keeps only what is_connected put there
+        g = Graph(300, [(v, v + 1) for v in range(299)])
+        assert is_connected(g)
+        before = [x for x, t in enumerate(g._cache["layers"]) if t]
+        fresh = Graph(300, [(v, v + 1) for v in range(299)])
+        assert diameter(fresh) == 299
+        assert [x for x, t in enumerate(fresh._cache["layers"]) if t] == before
+
+    def test_diameter_reads_memoized_tables(self, monkeypatch):
+        # once every table is memoized (as intersection_array leaves them),
+        # diameter runs no BFS of its own
+        g = johnson(7, 3)
+        for x in range(g.n):
+            distance_layers(g, x)
+
+        def no_bfs(g, x):
+            raise AssertionError("diameter ran a BFS")
+
+        monkeypatch.setattr(graph_core, "bfs_layers", no_bfs)
+        assert diameter(g) == 3
 
 
 class TestStructuralProfile:

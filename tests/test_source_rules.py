@@ -19,11 +19,11 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
-def _outside(path, owner):
-    """The AST nodes of path outside the body of owner, written as
-    module.function or module.Class.method ("" for none)."""
+def _split(path, owner):
+    """The AST nodes of path inside and outside the body of owner, written
+    as module.function or module.Class.method ("" for none)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    allowed = set()
+    inside = []
     module, *cls, func = owner.split(".") if owner else ("", "")
     if path.stem == module:
         scope = tree.body if not cls else [
@@ -32,8 +32,14 @@ def _outside(path, owner):
             for inner in node.body]
         for node in scope:
             if isinstance(node, ast.FunctionDef) and node.name == func:
-                allowed = {id(inner) for inner in ast.walk(node)}
-    return [node for node in ast.walk(tree) if id(node) not in allowed]
+                inside = list(ast.walk(node))
+    allowed = set(map(id, inside))
+    return inside, [node for node in ast.walk(tree) if id(node) not in allowed]
+
+
+def _outside(path, owner):
+    """The AST nodes of path outside the body of owner."""
+    return _split(path, owner)[1]
 
 
 def _name(node):
@@ -176,3 +182,35 @@ def test_cells_enter_the_search_only_checked():
     everywhere = len(_references(aut_py, {"_checked_cells"}, ""))
     for owner in ("aut.canonical_form", "aut.refine"):
         assert len(_references(aut_py, {"_checked_cells"}, owner)) < everywhere
+
+
+def _lowest_bit_walks(nodes):
+    """Lines among nodes that isolate a lowest set bit, as x & -x."""
+    return [node.lineno for node in nodes
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+            and ast.dump(node.left) == ast.dump(node.right.operand)]
+
+
+def test_relabelling_reads_memoized_neighbour_lists():
+    # Graph.relabel and the leaf certificates both sum a bit table over
+    # graph_core.neighbour_lists, the one owner of the "nbrs" memo, and
+    # neither walks a row bit by bit; _refine keeps its own walk
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    graph_core_py, aut_py = PACKAGE / "graph_core.py", PACKAGE / "aut.py"
+    owner = "graph_core.neighbour_lists"
+    assert [n for n in _split(graph_core_py, owner)[0]
+            if isinstance(n, ast.Constant) and n.value == "nbrs"]
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in _outside(path, owner)
+             if isinstance(node, ast.Constant) and node.value == "nbrs"]
+    assert not found
+    for path, user in ((graph_core_py, "graph_core.Graph.relabel"),
+                       (aut_py, "aut._Search._cert")):
+        body = _split(path, user)[0]
+        assert body
+        assert any(_name(node) == "neighbour_lists" for node in body)
+        assert not _lowest_bit_walks(body)
+    assert _lowest_bit_walks(_split(aut_py, "aut._refine")[0])
