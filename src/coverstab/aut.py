@@ -462,8 +462,9 @@ def canonical_form(g: Graph,
     is expanded block by block into a labelling of g, which stays
     canonical because blocks of one colour are isomorphic in block order.
     ``seeds``, automorphisms of g as image tuples, start the search. Each
-    must preserve every cell and g, else SoundnessError. On a quotient they
-    are skipped unchecked: they act on g, and the check is not free.
+    must permute 0..n-1 and preserve every cell and g, else
+    SoundnessError. On a quotient they are skipped unchecked: they act on
+    g, and the check is not free.
     """
     n = g.n
     colored = cells is not None
@@ -475,8 +476,8 @@ def canonical_form(g: Graph,
     q, cells = quotient[:2] if quotient else (g, cells)
     search = _Search(q)
     for seed in () if quotient else seeds:
-        if not (len(seed) == n and all(_mask(seed[v] for v in c) == _mask(c)
-                                       for c in cells)
+        if not (sorted(seed) == list(range(n))
+                and all(_mask(seed[v] for v in c) == _mask(c) for c in cells)
                 and g.relabel(seed) == g):
             raise SoundnessError("seed not a cell-preserving automorphism")
         search.add_generator(seed)

@@ -5,9 +5,14 @@ extension-realizable graphs.
 Generation uses canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998; _augment states the acceptance test).
 Each class is accepted only from its canonical parent, so the tree is
-walked depth first in O(depth) memory and its subtrees are independent: a
-pooled census hands each worker the subtree of one order-(n-2) graph to
-extend and classify, and a serial census runs the whole tree as one task.
+walked depth first in O(depth) memory and its subtrees are independent:
+every census task classifies the subtree below one root, an order-(n-2)
+graph handed to a pool worker, or an order-n graph (generated serially or
+read from a stream) that is its own only descendant.
+
+The xab column tests the four-vertex extension by its definition: for
+vertices a1 and a2, b1 = N(a1) - N(a2) and b2 = N(a2) - N(a1) are single
+vertices outside {a1, a2}, and N(b1) and N(b2) differ in exactly a1, a2.
 """
 
 from __future__ import annotations
@@ -179,37 +184,24 @@ def stream_graph6(lines: Iterable[str]) -> Iterator[Graph]:
 
 
 def is_xab_realizable(g: Graph) -> Optional[XabWitness]:
-    """Find a labeled occurrence of the four-vertex extension: distinct
-    vertices a1,a2,b1,b2 whose only internal edges are a1-b1 and a2-b2,
-    with N(a1)-b1 = N(a2)-b2 and N(b1)-a1 = N(b2)-a2 outside the four.
-
-    Returns a witness or None. No extra conditions are imposed on the
-    stripped graph; the census applies this to non-trivially unstable
-    inputs only.
-    """
+    """A labeled occurrence of the four-vertex extension, found by its
+    definition over the pairs a1 < a2, or None. a1-b1 and a2-b2 are then
+    the only edges among the four, and a1, a2 share the neighbours A
+    outside them, b1, b2 the neighbours B. The census applies this to
+    non-trivially unstable inputs only."""
     adj = g.adj
-    edges = list(g.edges())
-    for i, e1 in enumerate(edges):
-        for e2 in edges[i + 1:]:
-            if set(e1) & set(e2):
+    for a1 in range(g.n):
+        for a2 in range(a1 + 1, g.n):
+            pair = 1 << a1 | 1 << a2
+            only1, only2 = adj[a1] & ~adj[a2], adj[a2] & ~adj[a1]
+            if (only1.bit_count() != 1 or only2.bit_count() != 1
+                    or (only1 | only2) & pair):
                 continue
-            for a1, b1 in (e1, e1[::-1]):
-                for a2, b2 in (e2, e2[::-1]):
-                    four = (1 << a1) | (1 << a2) | (1 << b1) | (1 << b2)
-                    if (adj[a1] & four != 1 << b1 or
-                            adj[a2] & four != 1 << b2 or
-                            adj[b1] & four != 1 << a1 or
-                            adj[b2] & four != 1 << a2):
-                        continue
-                    rest = ~four
-                    if adj[a1] & rest != adj[a2] & rest:
-                        continue
-                    if adj[b1] & rest != adj[b2] & rest:
-                        continue
-                    return XabWitness(
-                        a1=a1, a2=a2, b1=b1, b2=b2,
-                        A=frozenset(bits(adj[a1] & rest)),
-                        B=frozenset(bits(adj[b1] & rest)))
+            b1, b2 = only1.bit_length() - 1, only2.bit_length() - 1
+            if adj[b1] ^ adj[b2] == pair:
+                return XabWitness(a1=a1, a2=a2, b1=b1, b2=b2,
+                                  A=frozenset(bits(adj[a1] ^ only1)),
+                                  B=frozenset(bits(adj[b1] ^ 1 << a1)))
     return None
 
 
@@ -227,14 +219,12 @@ def classify_graph(g: Graph) -> tuple[bool, bool, bool]:
     return (True, True, is_xab_realizable(g) is not None)
 
 
-def _census_task(n: int, root: Optional[str]) -> tuple[list[int], list[str]]:
-    """Classify the order-n graphs below root, a graph6 line (a stream
-    graph of order n is its own only descendant), or all of order n when
-    root is None: counts of (graphs, cnbtf, ntu, xab) and the ntu graph6."""
-    graphs = (enumerate_graphs(n) if root is None
-              else _descendants(parse_graph6(root), n))
+def _census_task(n: int, root: Graph) -> tuple[list[int], list[str]]:
+    """Classify the order-n graphs below root (an order-n root is its own
+    only descendant): counts of (graphs, cnbtf, ntu, xab) and the ntu
+    graph6."""
     counts, ntu_lines = [0] * 4, []
-    for g in graphs:
+    for g in _descendants(root, n):
         flags = (True,) + classify_graph(g)
         counts = [c + f for c, f in zip(counts, flags)]
         if flags[2]:
@@ -246,33 +236,35 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
                threads: int = 1,
                collect_ntu: Optional[list] = None) -> CensusRow:
     """Census counts for order n from the built-in generator or a graph6
-    line stream. With threads > 1, a pool of at most os.cpu_count()
-    processes runs the tasks: the subtree of one order-(n-2) graph, built
-    by the parent, or up to 64 stream lines. Serially the built-in tree is
-    one task. Results come in task order, so they match either way."""
+    line stream. Each task classifies the subtree below one root: a graph
+    of order n-2 (K1 below order 3) that the parent builds when threads >
+    1, else a graph of order n, which keeps the labelling generation
+    cached on it, or a stream graph, 64 to a pooled task. A pool of at
+    most os.cpu_count() processes runs the tasks when threads > 1.
+    Results come in task order, so they match either way."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
     threads = min(threads, os.cpu_count() or 1)
-    tasks, chunksize = [None], 1
     if source is not None:
         def checked(src):
             for g in stream_graph6(src):
                 if g.n != n:
                     raise GraphParseError(
                         f"stream graph has order {g.n}, expected {n}")
-                yield write_graph6(g)
-        tasks, chunksize = checked(source), 64
-    elif threads > 1 and n >= 3:
+                yield g
+        roots, chunksize = checked(source), 64
+    else:
         _check_order(n)
-        tasks = (write_graph6(g) for g in enumerate_graphs(n - 2))
+        roots = enumerate_graphs(max(n - 2, 1) if threads > 1 else n)
+        chunksize = 1
     totals = [0] * 4
     with ExitStack() as stack:
         if threads > 1:
             import multiprocessing
             pool = stack.enter_context(multiprocessing.Pool(threads))
-            results = pool.imap(partial(_census_task, n), tasks, chunksize)
+            results = pool.imap(partial(_census_task, n), roots, chunksize)
         else:
-            results = map(partial(_census_task, n), tasks)
+            results = map(partial(_census_task, n), roots)
         for counts, ntu_lines in results:
             totals = [t + c for t, c in zip(totals, counts)]
             if collect_ntu is not None:

@@ -44,7 +44,7 @@ from typing import Sequence
 
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
                          has_twins, bits, component_layers, distance_layers,
-                         layers_bipartite, induced_subgraph)
+                         layers_bipartite, induced_subgraph, memoized)
 from .aut import CanonicalForm, canonical_form
 
 REASON_DISCONNECTED = "disconnected"
@@ -219,6 +219,7 @@ def _component_orders(g: Graph) -> tuple[int, int]:
     return _union_order(base), _union_order(cover)
 
 
+@memoized
 def stability_report(g: Graph) -> StabilityReport:
     """Decide stability of g by comparing |Aut(BX)| with 2 |Aut(X)|.
 
@@ -235,9 +236,6 @@ def stability_report(g: Graph) -> StabilityReport:
     """
     if g.n == 0:
         raise ValueError("stability is undefined for the empty graph")
-    cached = g._cache.get("stability")
-    if cached is not None:
-        return cached
     n = g.n
     connected = is_connected(g)
     bipartite = is_bipartite(g)
@@ -280,5 +278,4 @@ def stability_report(g: Graph) -> StabilityReport:
         instability_index=index,
         classification=classification,
         reasons=tuple(reasons))
-    g._cache["stability"] = report
     return report

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .graph_core import (Graph, SoundnessError, bits, diameter,
                          distance_layers, is_connected, is_bipartite,
-                         has_twins, triangle_flags)
+                         has_twins, memoized, triangle_flags)
 from .cover import stability_report
 
 
@@ -101,19 +101,12 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
     return SrgParams(n=g.n, k=k, lambda_=k - b1 - 1, mu=arr.c[1])
 
 
+@memoized
 def intersection_array(g: Graph) -> Optional[IntersectionArray]:
     """Distance-regular parameters: from every vertex x, each vertex of
     layer j around x has b_j neighbours in layer j + 1 and c_j in layer
     j - 1. None if some count varies within a layer or between vertices.
-
-    Memoized per graph, since the distance-regular checker and each
-    strongly regular one read it."""
-    if "intersection_array" not in g._cache:
-        g._cache["intersection_array"] = _intersection_array(g)
-    return g._cache["intersection_array"]
-
-
-def _intersection_array(g: Graph) -> Optional[IntersectionArray]:
+    The distance-regular checker and each strongly regular one read it."""
     if g.n == 0 or not is_connected(g):
         return None
     adj = g.adj
@@ -190,11 +183,12 @@ def check_distance_regular(g: Graph) -> CriterionVerdict:
     return _verdict(crit, failed)
 
 
+@memoized
 def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
     """Stability from separated common-neighbour counts: twin-free, every
     edge on a triangle, and no adjacent pair shares its common-neighbour
     count with any distance-2 pair, i.e. any non-adjacent pair with a
-    common neighbour."""
+    common neighbour. The strongly regular checker cross-checks it."""
     crit = "common-neighbor-separation"
     failed = _trivial_or_disconnected(g)
     if failed:

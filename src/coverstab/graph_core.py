@@ -8,6 +8,7 @@ vertices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,15 +38,26 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def memoized(fn):
+    """fn(g) computed once per graph and kept in g._cache under fn's
+    name, for the facts that several callers read."""
+    @functools.wraps(fn)
+    def cached(g):
+        if fn.__name__ not in g._cache:
+            g._cache[fn.__name__] = fn(g)
+        return g._cache[fn.__name__]
+    return cached
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the neighbourhood of v as a bitset. Instances hash and
     compare by (n, adj) and are safe to share across threads; the private
-    ``_cache`` slot memoizes derived data (canonical form, stability
-    report, the BFS layer table of ``distance_layers``, the
-    ``intersection_array`` of the criteria, the ``neighbour_lists`` that
-    relabelling reads) without affecting value semantics.
+    ``_cache`` slot memoizes derived data (canonical form, the BFS layer
+    table of ``distance_layers``, the ``neighbour_lists`` that relabelling
+    reads, each fact kept by ``memoized``) without affecting value
+    semantics.
     """
 
     __slots__ = ("n", "adj", "label", "_cache")
@@ -342,8 +354,10 @@ def diameter(g: Graph) -> Optional[int]:
                default=0)
 
 
+@memoized
 def triangle_flags(g: Graph) -> tuple[bool, bool]:
-    """(every edge lies on a triangle, no edge does)."""
+    """(every edge lies on a triangle, no edge does); three criteria read
+    it."""
     adj = g.adj
     every_on_triangle = True
     triangle_free = True

@@ -4,7 +4,8 @@ Everything here is deliberately naive and separate from the package's code
 paths: image tuples from cycle notation, string-based graph6 encoding,
 edge-set relabelling, bit-by-bit leaf certificates, literal permutation
 filtering, breadth-first closures, textbook distance matrices, labeled
-enumeration.
+enumeration, the four-vertex extension's six conditions on vertex
+tuples.
 Two lean on the package: ``expected_group`` takes membership in the
 expected group from the package's Schreier-Sims, which no decision path
 uses, and ``enumerate_graphs_naive`` deduplicates labeled graphs by
@@ -289,3 +290,39 @@ def shuffled(g, rng):
     images = list(range(g.n))
     rng.shuffle(images)
     return g.relabel(images)
+
+
+def neighbour_sets(g):
+    """Each vertex's neighbours as a set, read off the edge list."""
+    nbr = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return nbr
+
+
+def xab_conditions(nbr, a1, a2, b1, b2):
+    """The six conditions of the four-vertex extension on distinct a1, a2,
+    b1, b2 of the graph with neighbour_sets nbr: among the four, a1 sees
+    only b1, a2 only b2, b1 only a1 and b2 only a2; outside them, a1 and
+    a2 see the same vertices, and so do b1 and b2."""
+    four = {a1, a2, b1, b2}
+    return (len(four) == 4
+            and nbr[a1] & four == {b1} and nbr[a2] & four == {b2}
+            and nbr[b1] & four == {a1} and nbr[b2] & four == {a2}
+            and nbr[a1] - four == nbr[a2] - four
+            and nbr[b1] - four == nbr[b2] - four)
+
+
+def xab_occurrence_naive(g):
+    """The first ordered 4-tuple (a1, a2, b1, b2) of distinct vertices that
+    meets the six conditions, or None. The tuples are taken as pairs of
+    arcs a1->b1, a2->b2, since the conditions require both edges, and
+    each is first tested for the non-edges a1-a2, a1-b2, b1-a2 and b1-b2
+    that they also require."""
+    nbr = neighbour_sets(g)
+    arcs = [(a, b) for a, b in permutations(range(g.n), 2) if b in nbr[a]]
+    return next(((a1, a2, b1, b2) for a1, b1 in arcs for a2, b2 in arcs
+                 if a2 not in nbr[a1] and b2 not in nbr[a1]
+                 and a2 not in nbr[b1] and b2 not in nbr[b1]
+                 and xab_conditions(nbr, a1, a2, b1, b2)), None)

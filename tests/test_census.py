@@ -14,7 +14,9 @@ from coverstab.census import (KNOWN_GRAPH_COUNTS, CensusRow, census_row,
                               stream_graph6)
 from coverstab.families import complete_graph, extend_xab
 
-from oracles import enumerate_graphs_naive, naive_closure, random_graph
+from oracles import (enumerate_graphs_naive, naive_closure, neighbour_sets,
+                     random_graph, shuffled, xab_conditions,
+                     xab_occurrence_naive)
 
 
 class TestEnumeration:
@@ -106,7 +108,57 @@ class TestStreamGraph6:
             list(stream_graph6(io.StringIO("A_\nBw\n&&&\n")))
 
 
+def assert_xab_witness(g, w):
+    # the witness meets the six conditions, and A and B are the
+    # neighbourhoods outside the four that a1, a2 and b1, b2 share
+    nbr = neighbour_sets(g)
+    four = {w.a1, w.a2, w.b1, w.b2}
+    assert w.a1 < w.a2
+    assert xab_conditions(nbr, w.a1, w.a2, w.b1, w.b2)
+    assert w.A == nbr[w.a1] - four and w.B == nbr[w.b1] - four
+
+
 class TestXabRealizable:
+    def test_literal_definition_on_every_graph_to_order_8(
+            self, graphs_by_order):
+        graphs = [g for n in range(1, 8) for g in graphs_by_order[n]]
+        graphs += enumerate_graphs(8)
+        assert len(graphs) == 13598
+        found = 0
+        for g in graphs:
+            w = is_xab_realizable(g)
+            assert (w is None) == (xab_occurrence_naive(g) is None), (
+                write_graph6(g))
+            if w is not None:
+                assert_xab_witness(g, w)
+                found += 1
+        assert found == 663
+
+    def test_literal_definition_on_seeded_extensions(self):
+        # shuffled extensions of random graphs, up to order 30, each also
+        # with one vertex pair toggled, which may destroy every occurrence
+        rng = random.Random(20)
+        toggled_found = 0
+        for _ in range(30):
+            n = rng.randrange(1, 27)
+            x = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            A = rng.sample(range(n), rng.randrange(0, n + 1))
+            B = rng.sample(range(n), rng.randrange(0, n + 1))
+            g = shuffled(extend_xab(x, A, B).result, rng)
+            u, v = rng.sample(range(g.n), 2)
+            rows = list(g.adj)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            toggled = Graph.from_rows(rows)
+            for h in (g, toggled):
+                w = is_xab_realizable(h)
+                assert (w is None) == (xab_occurrence_naive(h) is None)
+                if w is not None:
+                    assert_xab_witness(h, w)
+            assert is_xab_realizable(g) is not None
+            toggled_found += is_xab_realizable(toggled) is not None
+        assert 0 < toggled_found < 30
+
     def test_constructed_instance(self):
         e = extend_xab(complete_graph(3), {0}, frozenset())
         w = is_xab_realizable(e.result)
@@ -210,8 +262,9 @@ class TestCensusRow:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_count_check_raises_after_streaming(self, monkeypatch, threads):
         # The count check runs after the last graph is yielded. Serially
-        # the one task's generator raises it; pooled, the workers walk
-        # subtrees without a check and the parent raises it from the sum
+        # enumerate_graphs, whose graphs are the tasks' roots, raises it
+        # as census_row draws past the last one; pooled, the workers walk
+        # subtrees without a check and census_row raises it from the sum
         # of the task counts.
         import os
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

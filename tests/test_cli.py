@@ -368,6 +368,11 @@ FORCED_FAILURES = {
         cover.canonical_form = lambda g, p=None, seeds=(): real(
             g, p, tuple(s[:-1] + s[-2:-1] for s in seeds))
         """, ["analyze", "Bw"]),
+    "lifted seed with a negative image": ("""
+        real = cover.canonical_form
+        cover.canonical_form = lambda g, p=None, seeds=(): real(
+            g, p, tuple(s[:-1] + (-1,) for s in seeds))
+        """, ["analyze", "Bw"]),
     "Schreier-Sims order off the search order": ("""
         perms.group_from_generators = lambda gens, n: Order(5)
         cli.stability_report = lambda g: aut.automorphism_group(g)

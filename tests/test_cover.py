@@ -692,7 +692,9 @@ class TestSeededCoverSearch:
         swap[0], swap[1] = 1, 0  # keeps the layers, breaks edges
         tau_images = tuple(range(5, 10)) + tuple(range(5))  # swaps layers
         repeated = (1, 2, 3, 4, 0, 6, 7, 8, 9, 6)  # 6 twice, 5 never
-        for seed in (tuple(swap), tau_images, tuple(range(9)), repeated):
+        negative = (1, 2, 3, 4, 0, 6, 7, 8, 9, -5)  # -5 for 5
+        for seed in (tuple(swap), tau_images, tuple(range(9)), repeated,
+                     negative):
             with pytest.raises(SoundnessError):
                 canonical_form(cov, cells, [seed])
         lift = (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)

@@ -7,7 +7,8 @@ from coverstab import graph_core
 from coverstab.graph_core import Graph, diameter, is_connected, has_twins
 from coverstab.cover import stability_report
 from coverstab.criteria import (SrgParams, IntersectionArray, SoundnessError,
-                                srg_params, intersection_array,
+                                CriterionVerdict, srg_params,
+                                intersection_array,
                                 check_triangle_distance_growth,
                                 check_distance_regular,
                                 check_common_neighbor_separation,
@@ -368,6 +369,41 @@ class TestSharedDistanceTable:
         criteria_summary(g)
         assert intersection_array(g) is not None
         assert len(computed) == 1
+
+    @pytest.mark.parametrize("fact", [
+        "triangle_flags", "check_common_neighbor_separation"])
+    @pytest.mark.parametrize("make", [
+        lambda: johnson(7, 2),
+        lambda: johnson(6, 3),
+        petersen,
+        lambda: random_graph(random.Random(41), 30, 0.6),
+    ], ids=["J(7,2)", "J(6,3)", "Petersen", "G(30,0.6)"])
+    def test_each_graph_fact_computed_once(self, fact, make):
+        # three checkers read the triangle flags, and the strongly regular
+        # one cross-checks the separation verdict; both are computed once
+        # and stored in the graph's cache, which here records each store
+        g = make()
+        stores = []
+
+        class RecordingCache(dict):
+            def __setitem__(self, key, value):
+                stores.append(key)
+                super().__setitem__(key, value)
+
+        g._cache = RecordingCache()
+        verdicts = criteria_summary(g)
+        assert stores.count(fact) == 1
+        assert verdicts == criteria_summary(make())
+
+    def test_separation_cross_check_reads_the_memo(self):
+        # a memoized separation verdict that contradicts the strongly
+        # regular criterion still raises SoundnessError
+        assert check_srg_distinct_counts(johnson(7, 2)).applies
+        g = johnson(7, 2)
+        g._cache["check_common_neighbor_separation"] = CriterionVerdict(
+            "common-neighbor-separation", False, ("forced",))
+        with pytest.raises(SoundnessError, match="special case"):
+            check_srg_distinct_counts(g)
 
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")

@@ -136,13 +136,20 @@ def test_graph6_encoded_only_by_its_accessor():
 ], ids=["generator", "pool"])
 def test_census_has_one_generator_and_one_pool(names, owner):
     # generation is one depth-first descent, which the serial census, the
-    # pool's roots and its workers all walk; census_row owns the one pool
+    # pool's roots and its workers all walk; census_row owns the one pool,
+    # and every census task walks _descendants from its root, with no
+    # second kind of task that generates a whole order itself
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     assert _references(PACKAGE / "census.py", names, "")
     found = [ref for path in modules
              for ref in _references(path, names, owner)]
     assert not found
+    task = _split(PACKAGE / "census.py", "census._census_task")[0]
+    assert any(_name(node) == "_descendants" for node in task)
+    assert not [node.lineno for node in task
+                if _name(node) == "enumerate_graphs"
+                or (isinstance(node, ast.Constant) and node.value is None)]
 
 
 def _seeded_calls(path, owner):
