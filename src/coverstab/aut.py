@@ -28,11 +28,13 @@ order. graph6 is encoded only when ``canonical_graph6`` is read.
 Twins are collapsed before the search: ``canonical_form`` merges every
 class of open twins (equal neighbourhoods) and of closed twins (equal
 closed neighbourhoods) within one cell into a single coloured vertex,
-round after round, and searches the twin-free quotient. Any permutation
-of a twin class is an automorphism, so the order is the quotient's times
-s! per merged class of s, and the generators are the quotient's, lifted
-block by block, plus one transposition and one cycle per class. An
-edgeless graph, a star or K_n is searched as at most two vertices.
+one round of ``_twin_round`` at a time, and searches the twin-free
+quotient. Any permutation of a twin class is an automorphism, so the
+order is the quotient's times s! per merged class of s. The generators
+are the quotient's plus one transposition and one cycle per orbit of
+merged classes, lifted level by level; the lifted generators conjugate
+them onto the orbit's other classes. An edgeless graph, a star or K_n is
+searched as at most two vertices.
 
 A coloured search starts from ordered cells, which ``_checked_cells``
 checks on entry: non-empty, each vertex in exactly one, else ValueError.
@@ -62,9 +64,10 @@ class CanonicalForm:
     the input graph yields exactly the graph encoded by canonical_graph6.
     It and the generators are image tuples (v -> images[v]).
     ``aut_order`` is the order of the group the generators generate. For
-    a graph with twins the generators are the twin-free quotient's, lifted
-    block by block, and a transposition and a cycle of each merged twin
-    class. ``adj`` is the input graph's adjacency, kept by reference.
+    a graph with twins the generators are the twin-free quotient's and a
+    transposition and a cycle per orbit of merged twin classes, lifted
+    level by level. ``adj`` is the input graph's adjacency, kept by
+    reference.
     ``discrete``: refinement alone made the initial cells discrete (one
     leaf, no twins).
     """
@@ -380,21 +383,18 @@ class _Search:
             self.rho = leaf
 
 
-def _twin_quotient(g: Graph, cells: tuple[tuple[int, ...], ...]):
-    """The twin-free coloured quotient of g, or None when g has no twins
+def _twin_round(g: Graph, cells: tuple[tuple[int, ...], ...]):
+    """One round of the twin quotient of g, or None when g has no twins
     within one of the cells.
 
-    Each round merges every class of open twins (equal rows) and of closed
-    twins (equal rows with the vertex's own bit) that lie in one colour
-    class into its least vertex, coloured by the rank of (old colour, twin
-    type, class size); the first colours are the cell indices. Returns the
-    quotient, its colour cells in rank order, the block of vertices of g
-    behind each quotient vertex, and each merged class as (block, number
-    of sub-blocks). A block is the concatenation of its equal-sized
-    sub-blocks, and blocks of one colour are isomorphic in that order.
+    Merges every class of open twins (equal rows) and of closed twins
+    (equal rows with the vertex's own bit) that lies in one cell into its
+    least vertex. Returns the quotient, its cells in rank order of (cell,
+    twin type, class size), and each quotient vertex's class of vertices
+    of g in ascending order. The members of a class are interchangeable,
+    and classes in one quotient cell have the same type and size.
     """
-    adj = list(g.adj)
-    n = g.n
+    adj, n = g.adj, g.n
     if (not has_twins(g)
             and len({row | 1 << v for v, row in enumerate(adj)}) == n):
         return None
@@ -402,49 +402,29 @@ def _twin_quotient(g: Graph, cells: tuple[tuple[int, ...], ...]):
     for c, cell in enumerate(cells):
         for v in cell:
             colour[v] = c
-    blocks = [[v] for v in range(n)]
-    merged: list[tuple[list[int], int]] = []
-    while True:
-        groups: dict[tuple, list[int]] = {}
-        for v, row in enumerate(adj):
-            groups.setdefault((colour[v], 1, row), []).append(v)
-            groups.setdefault((colour[v], 2, row | 1 << v), []).append(v)
-        key = [(c, 0, 1) for c in colour]
-        gone: set[int] = set()
-        for (c, kind, _), cls in groups.items():
-            if len(cls) > 1:
-                key[cls[0]] = (c, kind, len(cls))
-                blocks[cls[0]] = [x for u in cls for x in blocks[u]]
-                merged.append((blocks[cls[0]], len(cls)))
-                gone.update(cls[1:])
-        if not gone:
-            break
-        kept = [v for v in range(len(adj)) if v not in gone]
-        index = {v: i for i, v in enumerate(kept)}
-        keep = _mask(kept)
-        adj = [_mask(index[u] for u in bits(adj[v] & keep)) for v in kept]
-        rank = {k: i for i, k in enumerate(sorted({key[v] for v in kept}))}
-        colour = [rank[key[v]] for v in kept]
-        blocks = [blocks[v] for v in kept]
+    groups: dict[tuple, list[int]] = {}
+    for v, row in enumerate(adj):
+        groups.setdefault((colour[v], 1, row), []).append(v)
+        groups.setdefault((colour[v], 2, row | 1 << v), []).append(v)
+    key = [(c, 0, 1) for c in colour]
+    merged: dict[int, list[int]] = {}
+    for (c, kind, _), cls in groups.items():
+        if len(cls) > 1:
+            key[cls[0]] = (c, kind, len(cls))
+            merged[cls[0]] = cls
     if not merged:
         return None
-    quotient_cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
-    for v, c in enumerate(colour):
-        quotient_cells[c].append(v)
-    return (Graph._unchecked(adj), tuple(map(tuple, quotient_cells)),
-            blocks, merged)
-
-
-def _block_generators(n: int, block: list[int], s: int) -> list[tuple]:
-    """A transposition and a cycle of the s equal sub-blocks of block,
-    which together generate their symmetric group (one swap when s = 2)."""
-    size = len(block) // s
-    swap, turn = list(range(n)), list(range(n))
-    for i, v in enumerate(block):
-        turn[v] = block[(i + size) % len(block)]
-    for i in range(size):
-        swap[block[i]], swap[block[size + i]] = block[size + i], block[i]
-    return [tuple(swap)] + ([tuple(turn)] if s > 2 else [])
+    gone = {v for cls in merged.values() for v in cls[1:]}
+    kept = [v for v in range(n) if v not in gone]
+    index = {v: i for i, v in enumerate(kept)}
+    keep = _mask(kept)
+    quotient_cells: dict[tuple, list[int]] = {}
+    for i, v in enumerate(kept):
+        quotient_cells.setdefault(key[v], []).append(i)
+    return (Graph._unchecked([_mask(index[u] for u in bits(adj[v] & keep))
+                              for v in kept]),
+            tuple(tuple(quotient_cells[k]) for k in sorted(quotient_cells)),
+            [merged.get(v, [v]) for v in kept])
 
 
 def canonical_form(g: Graph,
@@ -459,8 +439,8 @@ def canonical_form(g: Graph,
     and together hold each vertex once, else ValueError.
 
     The search runs on the twin-free coloured quotient of g. Its best leaf
-    is expanded block by block into a labelling of g, which stays
-    canonical because blocks of one colour are isomorphic in block order.
+    is expanded class by class, round by round, into a labelling of g,
+    which stays canonical because the members of a class are twins.
     ``seeds``, automorphisms of g as image tuples, start the search. Each
     must permute 0..n-1 and preserve every cell and g, else
     SoundnessError. On a quotient they are skipped unchecked: they act on
@@ -472,10 +452,13 @@ def canonical_form(g: Graph,
         return g._cache["canon"]
     cells = (_checked_cells(cells, n) if colored
              else (tuple(range(n)),) if n else ())
-    quotient = _twin_quotient(g, cells)
-    q, cells = quotient[:2] if quotient else (g, cells)
+    levels = []  # the classes of each twin round, first round first
+    q = g
+    while quotient := _twin_round(q, cells):
+        q, cells, classes = quotient
+        levels.append(classes)
     search = _Search(q)
-    for seed in () if quotient else seeds:
+    for seed in () if levels else seeds:
         if not (sorted(seed) == list(range(n))
                 and all(_mask(seed[v] for v in c) == _mask(c) for c in cells)
                 and g.relabel(seed) == g):
@@ -483,25 +466,34 @@ def canonical_form(g: Graph,
         search.add_generator(seed)
     search.run(cells)
     lab, gens, order = search.rho.lab, search.gens, search.order
-    if quotient:
-        blocks, merged = quotient[2:]
-        lab = [v for b in lab for v in blocks[b]]
-        gens = []
-        for sig in search.gens:
-            images = [0] * n
-            for b, image in zip(blocks, sig):
-                for x, y in zip(b, blocks[image]):
+    for classes in reversed(levels):
+        lab = [v for b in lab for v in classes[b]]
+        roots = orbit_roots(gens, len(classes))
+        lifted = []
+        for sig in gens:
+            images = [0] * len(lab)
+            for cls, image in zip(classes, sig):
+                for x, y in zip(cls, classes[image]):
                     images[x] = y
-            gens.append(tuple(images))
-        for block, s in merged:
-            gens += _block_generators(n, block, s)
-            order *= factorial(s)
+            lifted.append(tuple(images))
+        for b, cls in enumerate(classes):
+            if len(cls) > 1:
+                order *= factorial(len(cls))
+            if len(cls) > 1 and roots[b] == b:
+                # a transposition and a cycle of the class; their conjugates
+                # by the lifted generators reach the rest of b's orbit
+                for cyc in [cls[:2]] + ([cls] if len(cls) > 2 else []):
+                    images = list(range(len(lab)))
+                    for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                        images[x] = y
+                    lifted.append(tuple(images))
+        gens = lifted
     cf = CanonicalForm(
         relabeling=perms._inv(lab),
         aut_generators=tuple(gens),
         aut_order=order,
         adj=g.adj,
-        discrete=not (quotient or search.zeta.prefix))
+        discrete=not (levels or search.zeta.prefix))
     if not colored:
         g._cache["canon"] = cf
     return cf

@@ -55,8 +55,8 @@ class Graph:
     ``adj[v]`` is the neighbourhood of v as a bitset. Instances hash and
     compare by (n, adj) and are safe to share across threads; the private
     ``_cache`` slot memoizes derived data (canonical form, the BFS layer
-    table of ``distance_layers``, the ``neighbour_lists`` that relabelling
-    reads, each fact kept by ``memoized``) without affecting value
+    table of ``distance_layers``, each fact kept by ``memoized``, such as
+    the ``neighbour_lists`` that relabelling reads) without affecting value
     semantics.
     """
 
@@ -160,13 +160,11 @@ class StructuralProfile:
     triangle_free: bool
 
 
+@memoized
 def neighbour_lists(g: Graph) -> list[list[int]]:
     """Each vertex's neighbours in ascending order, built on first use and
     memoized per graph, so that a relabelling maps them in C."""
-    nbrs = g._cache.get("nbrs")
-    if nbrs is None:
-        nbrs = g._cache["nbrs"] = [list(bits(row)) for row in g.adj]
-    return nbrs
+    return [list(bits(row)) for row in g.adj]
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,12 @@ def complete_multipartite(sizes):
                              if part[u] != part[v]])
 
 
+def triangles(m):
+    """m disjoint copies of K3."""
+    return Graph(3 * m, [(3 * i + a, 3 * i + b) for i in range(m)
+                         for a, b in ((0, 1), (0, 2), (1, 2))])
+
+
 def twin_rich_graphs(rng):
     """Seeded inputs whose twin quotients are small or nested."""
     graphs = [random_cograph(rng, rng.randrange(1, 13)) for _ in range(40)]
@@ -453,6 +459,15 @@ def twin_rich_graphs(rng):
         k = rng.randrange(2, 4)
         graphs += [lex_product(base, Graph(k)),
                    lex_product(base, complete_graph(k))]
+    graphs += [shuffled(triangles(m), rng) for m in range(1, 7)]
+    for _ in range(8):
+        # classes of open twins inside classes of closed twins, or the
+        # reverse: each level of nesting is one more round of the quotient
+        a, b = rng.randrange(2, 4), rng.randrange(2, 4)
+        inner = rng.choice([lex_product(Graph(a), complete_graph(b)),
+                            lex_product(complete_graph(a), Graph(b))])
+        base = random_graph(rng, rng.randrange(1, 4))
+        graphs.append(shuffled(lex_product(base, inner), rng))
     graphs += [cocktail_party(m) for m in range(1, 7)]
     graphs += [complete_multipartite([rng.randrange(1, 5)
                                       for _ in range(rng.randrange(1, 5))])
@@ -525,6 +540,18 @@ class TestTwinQuotient:
         assert (canonical_form(lex_product(cycle(9), Graph(4))).aut_order
                 == f(4) ** 9 * 18)
 
+    @pytest.mark.parametrize("g, count", [
+        (lex_product(Graph(4), lex_product(cycle(5), Graph(2))), 12),
+        (lex_product(Graph(3), triangles(2)), 4),
+        (lex_product(cycle(5), Graph(3)), 4),
+    ], ids=["4C5[E2]", "3(2K3)", "C5[E3]"])
+    def test_one_generating_set_per_orbit_of_classes(self, g, count):
+        # a transposition and a cycle for the least class of each orbit
+        # of merged classes, and the quotient's generators lifted
+        cf = canonical_form(g)
+        assert len(cf.aut_generators) == count
+        assert automorphism_group(g).order() == cf.aut_order
+
     def test_isomorphism_agrees_with_networkx(self, graphs_by_order):
         nx = pytest.importorskip("networkx")
         rng = random.Random(44)
@@ -572,6 +599,14 @@ class TestLargeSymmetricInputs:
         f = math.factorial(2000)
         assert (report.aut_x_order, report.aut_bx_order) == (f, 2 * f * f)
         assert sizes and max(sizes) <= 2
+
+    @pytest.mark.parametrize("m", [2, 10, 100, 1000])
+    def test_generators_do_not_grow_with_a_union(self, m):
+        # the triangles are one orbit of merged classes, and so are the
+        # vertices of the edgeless quotient
+        cf = canonical_form(triangles(m))
+        assert len(cf.aut_generators) <= 4
+        assert cf.aut_order == 6 ** m * math.factorial(m)
 
 
 def neighbourhood_colouring(rng, g):
@@ -740,7 +775,7 @@ class TestLazyNeighbourLists:
         for g in (discrete, gnp):
             report = stability_report(g)
             assert report.stable
-            assert "nbrs" not in g._cache
+            assert "neighbour_lists" not in g._cache
         assert calls == []
         stability_report(petersen())  # a symmetric search does build them
         assert calls
@@ -752,7 +787,7 @@ class TestLazyNeighbourLists:
         real = graph_core.neighbour_lists
 
         def recording(g):
-            if "nbrs" not in g._cache:
+            if "neighbour_lists" not in g._cache:
                 built.append(g)
             return real(g)
 

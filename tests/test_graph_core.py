@@ -151,10 +151,10 @@ class TestGraphType:
 
     def test_neighbour_lists_built_once(self):
         g = petersen()
-        assert "nbrs" not in g._cache
+        assert "neighbour_lists" not in g._cache
         nbrs = neighbour_lists(g)
         assert g.relabel(range(10)) == g
-        assert neighbour_lists(g) is nbrs is g._cache["nbrs"]
+        assert neighbour_lists(g) is nbrs is g._cache["neighbour_lists"]
 
     def test_edges_sorted(self):
         g = Graph(4, [(2, 3), (0, 2), (0, 1)])

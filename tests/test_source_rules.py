@@ -202,17 +202,20 @@ def _lowest_bit_walks(nodes):
 
 def test_relabelling_reads_memoized_neighbour_lists():
     # Graph.relabel and the leaf certificates both sum a bit table over
-    # graph_core.neighbour_lists, the one owner of the "nbrs" memo, and
-    # neither walks a row bit by bit; _refine keeps its own walk
+    # graph_core.neighbour_lists, memoized by graph_core.memoized under its
+    # own name with no hand-written memo beside it, and neither walks a row
+    # bit by bit; _refine keeps its own walk
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     graph_core_py, aut_py = PACKAGE / "graph_core.py", PACKAGE / "aut.py"
-    owner = "graph_core.neighbour_lists"
-    assert [n for n in _split(graph_core_py, owner)[0]
-            if isinstance(n, ast.Constant) and n.value == "nbrs"]
+    tree = ast.parse(graph_core_py.read_text(encoding="utf-8"))
+    [owner] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "neighbour_lists"]
+    assert [_name(node) for node in owner.decorator_list] == ["memoized"]
     found = [f"{path.name}:{node.lineno}" for path in modules
-             for node in _outside(path, owner)
-             if isinstance(node, ast.Constant) and node.value == "nbrs"]
+             for node in _outside(path, "")
+             if isinstance(node, ast.Constant)
+             and node.value in ("nbrs", "neighbour_lists")]
     assert not found
     for path, user in ((graph_core_py, "graph_core.Graph.relabel"),
                        (aut_py, "aut._Search._cert")):
