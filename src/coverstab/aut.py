@@ -179,13 +179,6 @@ def _refine(adj, lab: list[int], cellof: list[int], cend: list[int],
     return ncells
 
 
-def refine(g: Graph, cells: Iterable[Iterable[int]]) -> tuple[tuple, ...]:
-    """Coarsest equitable refinement of the ordered cells, each cell
-    sorted; the order of the cells does not depend on the labels."""
-    lab, cellof, cend, _ = _equitable(g.adj, _checked_cells(cells, g.n), [])
-    return tuple(tuple(sorted(lab[s:cend[s]])) for s in sorted(set(cellof)))
-
-
 def _root(uf, v: int) -> int:
     """The root of v in the union-find uf, halving the path."""
     while uf[v] != v:

@@ -8,11 +8,8 @@ Each class is accepted only from its canonical parent, so the tree is
 walked depth first in O(depth) memory and its subtrees are independent:
 every census task classifies the subtree below one root, an order-(n-2)
 graph handed to a pool worker, or an order-n graph (generated serially or
-read from a stream) that is its own only descendant.
-
-The xab column tests the four-vertex extension by its definition: for
-vertices a1 and a2, b1 = N(a1) - N(a2) and b2 = N(a2) - N(a1) are single
-vertices outside {a1, a2}, and N(b1) and N(b2) differ in exactly a1, a2.
+read from a stream) that is its own only descendant. The xab column is
+families.is_xab_realizable, which holds the extension's definition.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from .graph_core import (Graph, GraphParseError, SoundnessError,
                          is_bipartite, has_twins)
 from .aut import canonical_form, orbit_roots
 from .cover import stability_report
+from .families import is_xab_realizable
 
 # Graphs per order (OEIS A000088): the orders enumerate_graphs generates,
 # and the count it checks its output against.
@@ -48,18 +46,6 @@ class CensusRow:
 
     def as_csv(self) -> str:
         return f"{self.n},{self.count_cnbtf},{self.count_ntu},{self.count_xab}"
-
-
-@dataclass(frozen=True)
-class XabWitness:
-    """A labeled occurrence of the four-vertex extension inside a graph."""
-
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-    A: frozenset
-    B: frozenset
 
 
 def _subset_orbit_reps(m: int, gens) -> list[int]:
@@ -181,28 +167,6 @@ def stream_graph6(lines: Iterable[str]) -> Iterator[Graph]:
         except GraphParseError as exc:
             raise GraphParseError(
                 f"line {lineno}: {exc.args[0]}") from exc
-
-
-def is_xab_realizable(g: Graph) -> Optional[XabWitness]:
-    """A labeled occurrence of the four-vertex extension, found by its
-    definition over the pairs a1 < a2, or None. a1-b1 and a2-b2 are then
-    the only edges among the four, and a1, a2 share the neighbours A
-    outside them, b1, b2 the neighbours B. The census applies this to
-    non-trivially unstable inputs only."""
-    adj = g.adj
-    for a1 in range(g.n):
-        for a2 in range(a1 + 1, g.n):
-            pair = 1 << a1 | 1 << a2
-            only1, only2 = adj[a1] & ~adj[a2], adj[a2] & ~adj[a1]
-            if (only1.bit_count() != 1 or only2.bit_count() != 1
-                    or (only1 | only2) & pair):
-                continue
-            b1, b2 = only1.bit_length() - 1, only2.bit_length() - 1
-            if adj[b1] ^ adj[b2] == pair:
-                return XabWitness(a1=a1, a2=a2, b1=b1, b2=b2,
-                                  A=frozenset(bits(adj[a1] ^ only1)),
-                                  B=frozenset(bits(adj[b1] ^ 1 << a1)))
-    return None
 
 
 def classify_graph(g: Graph) -> tuple[bool, bool, bool]:

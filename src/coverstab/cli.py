@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import ExitStack
 from typing import Optional, Sequence
@@ -100,6 +101,10 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if (args.stream and args.emit_ntu and os.path.exists(args.emit_ntu)
+            and os.path.samefile(args.stream, args.emit_ntu)):
+        raise ValueError(f"--emit-ntu {args.emit_ntu} is the --stream file, "
+                         "which opening it for writing would empty")
     collect = [] if args.emit_ntu else None
     with ExitStack() as stack:
         # Both files are opened before the census runs, so a bad path

@@ -1,6 +1,12 @@
 """Generators for the graph families and constructions used throughout:
 standard graphs, Johnson graphs, lexicographic products, the four-vertex
 extension that forces instability, and its witness automorphism.
+
+The four-vertex extension has one record, XabExtension, which extend_xab
+builds and is_xab_realizable finds by the definition: for vertices a1
+and a2, b1 = N(a1) - N(a2) and b2 = N(a2) - N(a1) are single vertices
+outside {a1, a2}, and N(b1) and N(b2) differ in exactly a1, a2. The
+census's xab column counts the graphs in which it finds one.
 """
 
 from __future__ import annotations
@@ -8,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .graph_core import Graph, bits, is_bipartite, has_twins
 from .aut import vertex_orbits
@@ -114,33 +120,19 @@ def lexcycle(m: int, h: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class XabExtension:
-    """A graph extended by the two linked vertex pairs a1--b1, a2--b2.
+    """An occurrence of the four-vertex extension in the graph result: the
+    linked pairs a1--b1 and a2--b2, with a1 and a2 joined to every vertex
+    of A and b1 and b2 to every vertex of B, and no other edge at the
+    four. extend_xab builds one on new vertices a1..b2 = n..n+3, where n
+    is the order of its input, and is_xab_realizable finds one."""
 
-    In the result, a1 = n, a2 = n+1, b1 = n+2, b2 = n+3 where n is the
-    order of the original graph; a1 and a2 are joined to every vertex of A,
-    b1 and b2 to every vertex of B.
-    """
-
-    base: Graph
+    result: Graph
+    a1: int
+    a2: int
+    b1: int
+    b2: int
     A: frozenset
     B: frozenset
-    result: Graph
-
-    @property
-    def a1(self) -> int:
-        return self.base.n
-
-    @property
-    def a2(self) -> int:
-        return self.base.n + 1
-
-    @property
-    def b1(self) -> int:
-        return self.base.n + 2
-
-    @property
-    def b2(self) -> int:
-        return self.base.n + 3
 
 
 def extend_xab(x: Graph, A: Iterable[int], B: Iterable[int]) -> XabExtension:
@@ -156,19 +148,40 @@ def extend_xab(x: Graph, A: Iterable[int], B: Iterable[int]) -> XabExtension:
     edges += [(a1, b1), (a2, b2)]
     edges += [(a, a1) for a in A] + [(a, a2) for a in A]
     edges += [(b, b1) for b in B] + [(b, b2) for b in B]
-    return XabExtension(base=x, A=A, B=B, result=Graph(n + 4, edges))
+    return XabExtension(Graph(n + 4, edges), a1, a2, b1, b2, A, B)
+
+
+def is_xab_realizable(g: Graph) -> Optional[XabExtension]:
+    """A labeled occurrence of the four-vertex extension, found by its
+    definition over the pairs a1 < a2, or None. a1-b1 and a2-b2 are then
+    the only edges among the four, and a1, a2 share the neighbours A
+    outside them, b1, b2 the neighbours B. The census applies this to
+    non-trivially unstable inputs only."""
+    adj = g.adj
+    for a1 in range(g.n):
+        for a2 in range(a1 + 1, g.n):
+            pair = 1 << a1 | 1 << a2
+            only1, only2 = adj[a1] & ~adj[a2], adj[a2] & ~adj[a1]
+            if (only1.bit_count() != 1 or only2.bit_count() != 1
+                    or (only1 | only2) & pair):
+                continue
+            b1, b2 = only1.bit_length() - 1, only2.bit_length() - 1
+            if adj[b1] ^ adj[b2] == pair:
+                return XabExtension(g, a1, a2, b1, b2,
+                                    A=frozenset(bits(adj[a1] ^ only1)),
+                                    B=frozenset(bits(adj[b1] ^ 1 << a1)))
+    return None
 
 
 def instability_witness(e: XabExtension) -> tuple:
-    """The double transposition on the cover of the extended graph that
-    swaps the two a-vertices in layer 0 and the two b-vertices in layer 1.
-
-    It is an automorphism of the cover, breaks fibers, and has order 2; all
-    three facts are asserted by the test suite.
+    """The double transposition on the cover of e.result that swaps a1 and
+    a2 in layer 0 and b1 and b2 in layer 1, for a built or a found e: an
+    unexpected involution of the cover, i.e. a non-diagonal TF-automorphism
+    (Lauri, Mizzi & Scapellato, Australas. J. Combin. 49, 2011). The tests
+    check it on every occurrence found up to order 8.
     """
     nn = e.result.n
     images = list(range(2 * nn))
     images[e.a1], images[e.a2] = images[e.a2], images[e.a1]
     images[e.b1 + nn], images[e.b2 + nn] = images[e.b2 + nn], images[e.b1 + nn]
     return tuple(images)
-

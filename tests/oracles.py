@@ -6,16 +6,18 @@ edge-set relabelling, bit-by-bit leaf certificates, literal permutation
 filtering, breadth-first closures, textbook distance matrices, labeled
 enumeration, the four-vertex extension's six conditions on vertex
 tuples.
-Two lean on the package: ``expected_group`` takes membership in the
+Three lean on the package: ``expected_group`` takes membership in the
 expected group from the package's Schreier-Sims, which no decision path
-uses, and ``enumerate_graphs_naive`` deduplicates labeled graphs by
-canonical form, to check canonical-augmentation generation.
+uses, ``enumerate_graphs_naive`` deduplicates labeled graphs by
+canonical form, to check canonical-augmentation generation, and
+``refine`` reads the partition the search's refinement stops at, which
+``colour_refinement`` checks.
 """
 
 from itertools import permutations
 
 from coverstab.graph_core import Graph
-from coverstab.aut import canonical_form
+from coverstab.aut import _checked_cells, _equitable, canonical_form
 from coverstab.cover import lift, tau
 from coverstab.perms import group_from_generators
 
@@ -191,6 +193,14 @@ def expected_group(d):
     grp = group_from_generators(gens, 2 * d.base.n)
     assert grp.order() == 2 * cf.aut_order
     return grp
+
+
+def refine(g, cells):
+    """The package's equitable refinement of the ordered cells, checked as
+    a coloured search checks them, each cell sorted; the order of the
+    cells does not depend on the labels."""
+    lab, cellof, cend, _ = _equitable(g.adj, _checked_cells(cells, g.n), [])
+    return tuple(tuple(sorted(lab[s:cend[s]])) for s in sorted(set(cellof)))
 
 
 def colour_refinement(g, cells):

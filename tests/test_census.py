@@ -7,12 +7,13 @@ from coverstab.graph_core import (Graph, GraphParseError, SoundnessError,
                                   parse_graph6, write_graph6, induced_subgraph,
                                   is_connected, is_bipartite, has_twins)
 from coverstab.aut import canonical_form
-from coverstab.cover import stability_report
+from coverstab.cover import (double_cover, is_cover_automorphism,
+                             is_expected, stability_report)
 from coverstab import census
 from coverstab.census import (KNOWN_GRAPH_COUNTS, CensusRow, census_row,
-                              enumerate_graphs, is_xab_realizable,
-                              stream_graph6)
-from coverstab.families import complete_graph, extend_xab
+                              enumerate_graphs, stream_graph6)
+from coverstab.families import (complete_graph, extend_xab,
+                                instability_witness, is_xab_realizable)
 
 from oracles import (enumerate_graphs_naive, naive_closure, neighbour_sets,
                      random_graph, shuffled, xab_conditions,
@@ -109,13 +110,19 @@ class TestStreamGraph6:
 
 
 def assert_xab_witness(g, w):
-    # the witness meets the six conditions, and A and B are the
-    # neighbourhoods outside the four that a1, a2 and b1, b2 share
+    # the occurrence found in g meets the six conditions, and A and B are
+    # the neighbourhoods outside the four that a1, a2 and b1, b2 share; its
+    # instability_witness is an unexpected involution of the cover of g,
+    # which certifies that g is unstable
     nbr = neighbour_sets(g)
     four = {w.a1, w.a2, w.b1, w.b2}
-    assert w.a1 < w.a2
+    assert w.result is g and w.a1 < w.a2
     assert xab_conditions(nbr, w.a1, w.a2, w.b1, w.b2)
     assert w.A == nbr[w.a1] - four and w.B == nbr[w.b1] - four
+    d, images = double_cover(g), instability_witness(w)
+    assert is_cover_automorphism(d, images) and not is_expected(d, images)
+    assert tuple(images[x] for x in images) == tuple(range(2 * g.n))
+    assert not stability_report(g).stable
 
 
 class TestXabRealizable:
@@ -160,9 +167,11 @@ class TestXabRealizable:
         assert 0 < toggled_found < 30
 
     def test_constructed_instance(self):
+        # the occurrence found is the record built, and the census binds
+        # the one finder
         e = extend_xab(complete_graph(3), {0}, frozenset())
-        w = is_xab_realizable(e.result)
-        assert w is not None
+        assert is_xab_realizable(e.result) == e
+        assert census.is_xab_realizable is is_xab_realizable
 
     def test_complete_graph_not_realizable(self):
         assert is_xab_realizable(complete_graph(5)) is None
@@ -177,7 +186,7 @@ class TestXabRealizable:
             B = set(rng.sample(range(n), rng.randrange(0, n + 1)))
             g = extend_xab(x, A, B).result
             w = is_xab_realizable(g)
-            assert w is not None
+            assert_xab_witness(g, w)
             produced += 1
             # rebuild from the witness and compare against the relabeling
             # that sends the four special vertices to the last positions

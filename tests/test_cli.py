@@ -250,6 +250,20 @@ class TestCensus:
         assert (stability_report(parse_graph6(emitted[0])).classification
                 == "nontrivially_unstable")
 
+    def test_emit_onto_the_stream_is_refused(self, capsys, tmp_path):
+        # opening the output would truncate the input before it is read
+        from coverstab.census import enumerate_graphs
+        stream = tmp_path / "g5.g6"
+        stream.write_text("\n".join(write_graph6(g)
+                                    for g in enumerate_graphs(5)) + "\n")
+        before = stream.read_bytes()
+        code, out, err = invoke(capsys, "census", "--n", "5",
+                                "--stream", str(stream),
+                                "--emit-ntu", str(tmp_path / "." / "g5.g6"))
+        assert code == EXIT_USAGE
+        assert not out and "--stream" in err
+        assert stream.read_bytes() == before
+
     def test_threads_deterministic(self, capsys):
         code1, out1, _ = invoke(capsys, "census", "--n", "5", "--csv")
         code2, out2, _ = invoke(capsys, "census", "--n", "5", "--csv",

@@ -8,8 +8,7 @@ from coverstab import aut, cover, perms
 from coverstab.graph_core import (Graph, SoundnessError, is_connected,
                                   is_bipartite, has_twins, parse_graph6)
 from coverstab.perms import _mul, group_from_generators
-from coverstab.aut import (automorphism_group, are_isomorphic,
-                           canonical_form, refine)
+from coverstab.aut import automorphism_group, are_isomorphic, canonical_form
 from coverstab.census import enumerate_graphs
 from coverstab.cover import (DoubleCover, double_cover, lift, tau, is_expected,
                              is_fiber_preserving, is_cover_automorphism,
@@ -20,7 +19,7 @@ from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                  lex_product)
 
 from oracles import (cube, expected_group, from_cycles, naive_closure, paley,
-                     shuffled)
+                     refine, shuffled)
 
 
 class TestDoubleCover:
