@@ -11,8 +11,8 @@ from .graph_core import (Graph, GraphParseError, StructuralProfile,
                          parse_graph6, write_graph6, structural_profile,
                          induced_subgraph)
 from .aut import CanonicalForm, canonical_form, are_isomorphic, vertex_orbits
-from .cover import (DoubleCover, StabilityReport, double_cover, lift, tau,
-                    is_expected, stability_report)
+from .cover import (StabilityReport, double_cover, lift, tau, is_expected,
+                    stability_report)
 from .criteria import (SrgParams, IntersectionArray, CriterionVerdict,
                        SoundnessError, srg_params, intersection_array,
                        criteria_summary)

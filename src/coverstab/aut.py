@@ -51,8 +51,8 @@ from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional
 
-from .graph_core import (Graph, SoundnessError, bits, graph6_size_prefix,
-                         has_twins)
+from .graph_core import (Graph, SoundnessError, graph6_size_prefix,
+                         has_twins, induced_subgraph)
 from . import graph_core, perms
 
 
@@ -408,16 +408,13 @@ def _twin_round(g: Graph, cells: tuple[tuple[int, ...], ...]):
     if not merged:
         return None
     gone = {v for cls in merged.values() for v in cls[1:]}
-    kept = [v for v in range(n) if v not in gone]
-    index = {v: i for i, v in enumerate(kept)}
-    keep = _mask(kept)
+    quotient, index = induced_subgraph(g, set(range(n)) - gone)
     quotient_cells: dict[tuple, list[int]] = {}
-    for i, v in enumerate(kept):
+    for v, i in index.items():
         quotient_cells.setdefault(key[v], []).append(i)
-    return (Graph._unchecked([_mask(index[u] for u in bits(adj[v] & keep))
-                              for v in kept]),
+    return (quotient,
             tuple(tuple(quotient_cells[k]) for k in sorted(quotient_cells)),
-            [merged.get(v, [v]) for v in kept])
+            [merged.get(v, [v]) for v in index])
 
 
 def canonical_form(g: Graph,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator, Optional
 
@@ -36,13 +36,14 @@ KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
 @dataclass(frozen=True)
 class CensusRow:
     """One order's counts: connected non-bipartite twin-free graphs, the
-    non-trivially unstable ones among them, and those realizable by the
-    four-vertex extension."""
+    non-trivially unstable ones among them (graph6 in ntu, task order, not
+    compared or shown), and those realizable by the four-vertex extension."""
 
     n: int
     count_cnbtf: int
     count_ntu: int
     count_xab: int
+    ntu: tuple[str, ...] = field(default=(), repr=False, compare=False)
 
     def as_csv(self) -> str:
         return f"{self.n},{self.count_cnbtf},{self.count_ntu},{self.count_xab}"
@@ -197,14 +198,13 @@ def _census_task(n: int, root: Graph) -> tuple[list[int], list[str]]:
 
 
 def census_row(n: int, source: Optional[Iterable[str]] = None,
-               threads: int = 1,
-               collect_ntu: Optional[list] = None) -> CensusRow:
+               threads: int = 1) -> CensusRow:
     """Census counts for order n from the built-in generator or a graph6
     line stream. Each task classifies the subtree below one root: a graph
     of order n-2 (K1 below order 3) that the parent builds when threads >
-    1, else a graph of order n, which keeps the labelling generation
-    cached on it, or a stream graph, 64 to a pooled task. A pool of at
-    most os.cpu_count() processes runs the tasks when threads > 1.
+    1, else a graph of order n, as a traced census counts the yields of
+    enumerate_graphs(n), or a stream graph, 64 to a pooled task. A pool of
+    at most os.cpu_count() processes runs the tasks when threads > 1.
     Results come in task order, so they match either way."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
@@ -221,7 +221,7 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
         _check_order(n)
         roots = enumerate_graphs(max(n - 2, 1) if threads > 1 else n)
         chunksize = 1
-    totals = [0] * 4
+    totals, ntu = [0] * 4, []
     with ExitStack() as stack:
         if threads > 1:
             import multiprocessing
@@ -231,11 +231,10 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
             results = map(partial(_census_task, n), roots)
         for counts, ntu_lines in results:
             totals = [t + c for t, c in zip(totals, counts)]
-            if collect_ntu is not None:
-                collect_ntu.extend(ntu_lines)
+            ntu += ntu_lines
     if source is None:
         _check_count(totals[0], n)
-    row = CensusRow(n, *totals[1:])
+    row = CensusRow(n, *totals[1:], ntu=tuple(ntu))
     if not row.count_xab <= row.count_ntu <= row.count_cnbtf:
         raise SoundnessError(f"census counts out of order: {row}")
     return row

@@ -69,7 +69,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_cover(args) -> int:
     g = _read_graph(args.graph)
-    print(write_graph6(double_cover(g).cover))
+    print(write_graph6(double_cover(g)))
     return EXIT_OK
 
 
@@ -105,7 +105,6 @@ def _cmd_census(args) -> int:
             and os.path.samefile(args.stream, args.emit_ntu)):
         raise ValueError(f"--emit-ntu {args.emit_ntu} is the --stream file, "
                          "which opening it for writing would empty")
-    collect = [] if args.emit_ntu else None
     with ExitStack() as stack:
         # Both files are opened before the census runs, so a bad path
         # fails at once. latin-1 decodes every byte, so parse_graph6
@@ -115,8 +114,7 @@ def _cmd_census(args) -> int:
             if args.stream else None)
         out = (stack.enter_context(open(args.emit_ntu, "w", encoding="ascii"))
                if args.emit_ntu else None)
-        row = census_row(args.n, source=source, threads=args.threads,
-                         collect_ntu=collect)
+        row = census_row(args.n, source=source, threads=args.threads)
         if args.csv:
             print("n,cnbtf,ntu,xab")
             print(row.as_csv())
@@ -125,8 +123,8 @@ def _cmd_census(args) -> int:
             print(f"{row.n:>4} {row.count_cnbtf:>10} {row.count_ntu:>8} "
                   f"{row.count_xab:>8}")
         if out is not None:
-            out.writelines(line + "\n" for line in collect)
-            print(f"wrote {len(collect)} graphs to {args.emit_ntu}",
+            out.writelines(line + "\n" for line in row.ntu)
+            print(f"wrote {len(row.ntu)} graphs to {args.emit_ntu}",
                   file=sys.stderr)
     return EXIT_OK
 

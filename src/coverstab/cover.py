@@ -2,11 +2,11 @@
 decision with its trivial/non-trivial classification.
 
 The cover of a graph on n vertices lives on 2n points: base vertex x gives
-the fiber {x, x + n}, with x in layer 0 and x + n in layer 1. As everywhere
-in the package, an automorphism is its image tuple, alpha mapping y to
-alpha[y]. ``lift`` and ``tau`` return one; ``lift``, ``is_expected`` and
-the ``is_*`` predicates raise ValueError on a tuple that is no
-permutation of the points they act on.
+the fiber {x, x + n}, with x in layer 0 and x + n in layer 1. The cover
+is a Graph, and ``lift``, ``tau`` and the ``is_*`` predicates take the
+base graph. An automorphism is its image tuple, alpha mapping y to
+alpha[y]; ``lift`` and ``tau`` return one, and ``lift`` and the predicates
+raise ValueError on a tuple that is no permutation of their points.
 
 A graph is stable exactly when |Aut(BX)| = 2 |Aut(X)|: the expected
 subgroup (lifts of base automorphisms together with the layer swap) always
@@ -52,14 +52,6 @@ REASON_BIPARTITE = "bipartite_with_nontrivial_aut"
 REASON_TWINS = "has_twins"
 
 
-@dataclass(frozen=True)
-class DoubleCover:
-    """A graph together with its canonical double cover."""
-
-    base: Graph
-    cover: Graph
-
-
 _DIGITS = 600  # below the least digit limit str(int) can be set to
 
 
@@ -98,43 +90,38 @@ class StabilityReport:
         }
 
 
-def double_cover(g: Graph) -> DoubleCover:
+def double_cover(g: Graph) -> Graph:
     """The direct product of g with a single edge."""
     n = g.n
     rows = [0] * (2 * n)
     for x in range(n):
         rows[x] = g.adj[x] << n
         rows[x + n] = g.adj[x]
-    return DoubleCover(base=g, cover=Graph._unchecked(rows))
+    return Graph._unchecked(rows)
 
 
-def is_base_automorphism(g: Graph, phi: Sequence[int]) -> bool:
-    """Does the image tuple phi preserve g's edges? ValueError (from
-    relabel) when phi is no permutation of g's vertices."""
-    return g.relabel(phi) == g
-
-
-def lift(d: DoubleCover, phi: Sequence[int]) -> tuple:
-    """Lift a base automorphism to the cover, acting layer-wise."""
-    if not is_base_automorphism(d.base, phi):
+def lift(g: Graph, phi: Sequence[int]) -> tuple:
+    """Lift an automorphism of g to its cover, acting layer-wise."""
+    if g.relabel(phi) != g:
         raise ValueError("phi is not an automorphism of the base graph")
-    n = d.base.n
+    n = g.n
     return tuple(phi) + tuple(x + n for x in phi)
 
 
-def tau(d: DoubleCover) -> tuple:
+def tau(g: Graph) -> tuple:
     """The layer swap (x, i) -> (x, i+1)."""
-    n = d.base.n
+    n = g.n
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
-def is_cover_automorphism(d: DoubleCover, alpha: Sequence[int]) -> bool:
-    return is_base_automorphism(d.cover, alpha)
+def is_cover_automorphism(g: Graph, alpha: Sequence[int]) -> bool:
+    cover = double_cover(g)
+    return cover.relabel(alpha) == cover
 
 
-def is_fiber_preserving(d: DoubleCover, alpha: Sequence[int]) -> bool:
+def is_fiber_preserving(g: Graph, alpha: Sequence[int]) -> bool:
     """Does alpha map every fiber {x, x+n} onto some fiber {y, y+n}?"""
-    n = d.base.n
+    n = g.n
     if sorted(alpha) != list(range(2 * n)):
         raise ValueError("alpha is not a bijection of the cover's points")
     for x in range(n):
@@ -144,18 +131,18 @@ def is_fiber_preserving(d: DoubleCover, alpha: Sequence[int]) -> bool:
     return True
 
 
-def is_expected(d: DoubleCover, alpha: Sequence[int]) -> bool:
+def is_expected(g: Graph, alpha: Sequence[int]) -> bool:
     """Is alpha generated by lifts and the layer swap?
 
     Those elements are lift(phi) tau^e, so alpha is expected exactly when it
     maps fibers to fibers and all of layer 0 into one layer: composed with
     tau^e it then fixes both layers and restricts to a base automorphism.
     """
-    if not is_cover_automorphism(d, alpha):
+    if not is_cover_automorphism(g, alpha):
         raise ValueError("alpha is not an automorphism of the cover")
-    n = d.base.n
+    n = g.n
     layer_uniform = len({y // n for y in alpha[:n]}) <= 1
-    return layer_uniform and is_fiber_preserving(d, alpha)
+    return layer_uniform and is_fiber_preserving(g, alpha)
 
 
 def _layered_cover_form(c: Graph, cf: CanonicalForm) -> CanonicalForm:
@@ -166,7 +153,7 @@ def _layered_cover_form(c: Graph, cf: CanonicalForm) -> CanonicalForm:
     n = c.n
     layers = range(n), range(n, 2 * n)
     lifts = (s + tuple(x + n for x in s) for s in cf.aut_generators)
-    return canonical_form(double_cover(c).cover, layers, lifts)
+    return canonical_form(double_cover(c), layers, lifts)
 
 
 def _component_parts(c: Graph, cf: CanonicalForm) -> tuple[list, list]:

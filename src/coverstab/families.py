@@ -143,6 +143,7 @@ def extend_xab(x: Graph, A: Iterable[int], B: Iterable[int]) -> XabExtension:
             if not 0 <= v < x.n:
                 raise ValueError(f"vertex {v} not in the base graph")
     n = x.n
+    _check_order(n + 4, "the four-vertex extension")
     a1, a2, b1, b2 = n, n + 1, n + 2, n + 3
     edges = list(x.edges())
     edges += [(a1, b1), (a2, b2)]

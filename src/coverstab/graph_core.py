@@ -392,12 +392,11 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict]:
     if kept[0] < 0 or kept[-1] >= g.n:
         raise ValueError("vertex out of range")
     remap = {old: new for new, old in enumerate(kept)}
+    mask = sum(1 << old for old in kept)
     rows = []
     for old in kept:
         acc = 0
-        for u in bits(g.adj[old]):
-            new = remap.get(u)
-            if new is not None:
-                acc |= 1 << new
+        for u in bits(g.adj[old] & mask):
+            acc |= 1 << remap[u]
         rows.append(acc)
     return Graph._unchecked(rows), remap

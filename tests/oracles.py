@@ -184,13 +184,13 @@ def enumerate_graphs_naive(n):
     return list(seen.values())
 
 
-def expected_group(d):
+def expected_group(g):
     """Schreier-Sims group of the layer swap and the lifts of Aut(X)'s
-    generators on the cover d: the reference for expected-automorphism
+    generators on the cover of g: the reference for expected-automorphism
     membership. Its order must be 2|Aut(X)|."""
-    cf = canonical_form(d.base)
-    gens = [tau(d)] + [lift(d, phi) for phi in cf.aut_generators]
-    grp = group_from_generators(gens, 2 * d.base.n)
+    cf = canonical_form(g)
+    gens = [tau(g)] + [lift(g, phi) for phi in cf.aut_generators]
+    grp = group_from_generators(gens, 2 * g.n)
     assert grp.order() == 2 * cf.aut_order
     return grp
 

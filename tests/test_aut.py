@@ -244,7 +244,7 @@ class TestAutomorphismGroup:
         cases = []
         for g in graphs:
             layers = range(g.n), range(g.n, 2 * g.n)
-            cases += [(g, None), (double_cover(g).cover, layers)]
+            cases += [(g, None), (double_cover(g), layers)]
         for g, partition in cases:
             cf = canonical_form(g, partition)
             gens = [combinatorics.Permutation(list(p))
@@ -332,9 +332,9 @@ class TestStructuredGraphs:
         cases = [
             johnson(6, 2),
             johnson(7, 3),
-            double_cover(johnson(6, 2)).cover,
+            double_cover(johnson(6, 2)),
             lex_product(cycle(8), complete_graph(2)),
-            double_cover(lex_product(cycle(8), cycle(3))).cover,
+            double_cover(lex_product(cycle(8), cycle(3))),
         ]
         for g in cases:
             canon = canonical_form(g).canonical_graph6
@@ -351,7 +351,7 @@ class TestStructuredGraphs:
         from coverstab.families import lex_product
         g = lex_product(cycle(8), complete_graph(2))
         assert automorphism_group(g).order() == 4096
-        cover = double_cover(g).cover
+        cover = double_cover(g)
         assert automorphism_group(cover).order() == backtrack_aut_count(cover)
 
     def test_johnson_aut_orders(self):
@@ -746,7 +746,7 @@ class TestCertificates:
     @pytest.mark.parametrize("g", [
         lex_product(cycle(8), cube(3)),
         paley(29),
-        double_cover(complete_graph(20)).cover,  # the crown graph
+        double_cover(complete_graph(20)),  # the crown graph
     ], ids=["C8[Q3]", "Paley(29)", "crown(20)"])
     def test_every_leaf_of_symmetric_searches(self, monkeypatch, g):
         h = shuffled(g, random.Random(g.n))

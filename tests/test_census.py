@@ -7,8 +7,8 @@ from coverstab.graph_core import (Graph, GraphParseError, SoundnessError,
                                   parse_graph6, write_graph6, induced_subgraph,
                                   is_connected, is_bipartite, has_twins)
 from coverstab.aut import canonical_form
-from coverstab.cover import (double_cover, is_cover_automorphism,
-                             is_expected, stability_report)
+from coverstab.cover import (is_cover_automorphism, is_expected,
+                             stability_report)
 from coverstab import census
 from coverstab.census import (KNOWN_GRAPH_COUNTS, CensusRow, census_row,
                               enumerate_graphs, stream_graph6)
@@ -119,8 +119,8 @@ def assert_xab_witness(g, w):
     assert w.result is g and w.a1 < w.a2
     assert xab_conditions(nbr, w.a1, w.a2, w.b1, w.b2)
     assert w.A == nbr[w.a1] - four and w.B == nbr[w.b1] - four
-    d, images = double_cover(g), instability_witness(w)
-    assert is_cover_automorphism(d, images) and not is_expected(d, images)
+    images = instability_witness(w)
+    assert is_cover_automorphism(g, images) and not is_expected(g, images)
     assert tuple(images[x] for x in images) == tuple(range(2 * g.n))
     assert not stability_report(g).stable
 
@@ -234,10 +234,9 @@ class TestCensusRow:
             census_row(5, source=iter(["A_"]))
 
     def test_ntu_collection_reverifies(self, graphs_by_order):
-        collected = []
-        row = census_row(6, collect_ntu=collected)
-        assert len(collected) == row.count_ntu == 6
-        for line in collected:
+        row = census_row(6)
+        assert len(row.ntu) == row.count_ntu == 6
+        for line in row.ntu:
             g = parse_graph6(line)
             assert is_connected(g) and not is_bipartite(g) and not has_twins(g)
             r = stability_report(g)
@@ -248,11 +247,10 @@ class TestCensusRow:
         # n <= 2 has no order-(n-2) roots and runs as one pooled task
         import os
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        seq_ntu, par_ntu = [], []
-        seq = census_row(n, collect_ntu=seq_ntu)
-        par = census_row(n, threads=2, collect_ntu=par_ntu)
+        seq = census_row(n)
+        par = census_row(n, threads=2)
         assert seq == par
-        assert seq_ntu == par_ntu
+        assert seq.ntu == par.ntu
 
     def test_pool_workers_generate_the_last_two_orders(self, monkeypatch):
         # The parent builds only the order-(n-2) roots: it augments graphs

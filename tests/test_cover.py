@@ -10,7 +10,7 @@ from coverstab.graph_core import (Graph, SoundnessError, is_connected,
 from coverstab.perms import _mul, group_from_generators
 from coverstab.aut import automorphism_group, are_isomorphic, canonical_form
 from coverstab.census import enumerate_graphs
-from coverstab.cover import (DoubleCover, double_cover, lift, tau, is_expected,
+from coverstab.cover import (double_cover, lift, tau, is_expected,
                              is_fiber_preserving, is_cover_automorphism,
                              stability_report,
                              REASON_BIPARTITE, REASON_DISCONNECTED,
@@ -25,18 +25,18 @@ from oracles import (cube, expected_group, from_cycles, naive_closure, paley,
 class TestDoubleCover:
     def test_structure(self):
         g = petersen()
-        d = double_cover(g)
-        assert d.cover.n == 2 * g.n
-        assert d.cover.edge_count() == 2 * g.edge_count()
+        cover = double_cover(g)
+        assert cover.n == 2 * g.n
+        assert cover.edge_count() == 2 * g.edge_count()
         for x, y in g.edges():
-            assert d.cover.has_edge(x, y + g.n)
-            assert d.cover.has_edge(y, x + g.n)
-            assert not d.cover.has_edge(x, y)
+            assert cover.has_edge(x, y + g.n)
+            assert cover.has_edge(y, x + g.n)
+            assert not cover.has_edge(x, y)
 
     def test_small_covers(self):
-        assert are_isomorphic(double_cover(complete_graph(3)).cover, cycle(6))
-        assert are_isomorphic(double_cover(cycle(5)).cover, cycle(10))
-        c6c = double_cover(cycle(6)).cover
+        assert are_isomorphic(double_cover(complete_graph(3)), cycle(6))
+        assert are_isomorphic(double_cover(cycle(5)), cycle(10))
+        c6c = double_cover(cycle(6))
         assert not is_connected(c6c)
         two_c6 = Graph(12, [(i, (i + 1) % 6) for i in range(6)]
                        + [(6 + i, 6 + (i + 1) % 6) for i in range(6)])
@@ -45,31 +45,31 @@ class TestDoubleCover:
     def test_cover_connected_iff_base_connected_nonbipartite(self, graphs_by_order):
         for n in (4, 5):
             for g in graphs_by_order[n]:
-                cov = double_cover(g).cover
+                cov = double_cover(g)
                 expected = is_connected(g) and not is_bipartite(g)
                 assert is_connected(cov) == expected
 
 
 class TestLiftTau:
     def test_lift_identity_and_rotation(self):
-        d = double_cover(cycle(5))
-        assert lift(d, tuple(range(5))) == tuple(range(10))
+        g = cycle(5)
+        assert lift(g, tuple(range(5))) == tuple(range(10))
         rot = (1, 2, 3, 4, 0)
-        lf = lift(d, rot)
+        lf = lift(g, rot)
         assert lf[0] == 1 and lf[5] == 6
 
     def test_tau_involution_and_commutes(self):
-        d = double_cover(petersen())
-        t = tau(d)
+        g = petersen()
+        t = tau(g)
         assert _mul(t, t) == tuple(range(20))
         for phi in automorphism_group(petersen()).generators:
-            lf = lift(d, phi)
+            lf = lift(g, phi)
             assert _mul(t, lf) == _mul(lf, t)
 
     def test_lift_requires_automorphism(self):
-        d = double_cover(Graph(3, [(0, 1)]))
+        g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
-            lift(d, (1, 2, 0))
+            lift(g, (1, 2, 0))
 
     NOT_PERMUTATIONS = {"short": lambda n: tuple(range(n - 1)),
                         "long": lambda n: tuple(range(n + 1)),
@@ -82,61 +82,58 @@ class TestLiftTau:
         # is never read as "not an automorphism"; every bijection of K3
         # is one, so the message names the failed input check
         make = self.NOT_PERMUTATIONS[kind]
-        d = double_cover(complete_graph(3))
+        g = complete_graph(3)
         with pytest.raises(ValueError, match="bijection"):
-            lift(d, make(3))
+            lift(g, make(3))
         with pytest.raises(ValueError, match="bijection"):
-            is_cover_automorphism(d, make(6))
+            is_cover_automorphism(g, make(6))
         with pytest.raises(ValueError, match="bijection"):
-            is_expected(d, make(6))
+            is_expected(g, make(6))
         with pytest.raises(ValueError, match="bijection"):
-            is_fiber_preserving(d, make(6))
+            is_fiber_preserving(g, make(6))
 
     def test_lift_homomorphism(self):
         g = petersen()
-        d = double_cover(g)
         gens = automorphism_group(g).generators
         for p in gens:
             for q in gens:
-                assert lift(d, _mul(p, q)) == _mul(lift(d, p), lift(d, q))
+                assert lift(g, _mul(p, q)) == _mul(lift(g, p), lift(g, q))
 
 
 class TestExpectedSubgroup:
     def test_orders(self):
-        assert expected_group(double_cover(complete_graph(3))).order() == 12
-        assert expected_group(double_cover(cycle(5))).order() == 20
-        assert expected_group(double_cover(petersen())).order() == 240
+        assert expected_group(complete_graph(3)).order() == 12
+        assert expected_group(cycle(5)).order() == 20
+        assert expected_group(petersen()).order() == 240
 
     def test_always_twice_base_aut(self, graphs_by_order):
         rng = random.Random(4)
         sample = rng.sample(graphs_by_order[6], 40) + graphs_by_order[3]
         for g in sample:
-            d = double_cover(g)
-            assert expected_group(d).order() == 2 * automorphism_group(g).order()
+            assert expected_group(g).order() == 2 * automorphism_group(g).order()
 
     def test_subgroup_of_cover_aut(self, graphs_by_order):
         rng = random.Random(5)
         for g in rng.sample(graphs_by_order[5], 15):
-            d = double_cover(g)
-            cover_aut = automorphism_group(d.cover)
-            assert 2 * automorphism_group(g).order() == expected_group(d).order()
-            assert cover_aut.order() % expected_group(d).order() == 0
-            assert cover_aut.contains(tau(d))
+            cover_aut = automorphism_group(double_cover(g))
+            assert 2 * automorphism_group(g).order() == expected_group(g).order()
+            assert cover_aut.order() % expected_group(g).order() == 0
+            assert cover_aut.contains(tau(g))
             for phi in automorphism_group(g).generators:
-                assert cover_aut.contains(lift(d, phi))
+                assert cover_aut.contains(lift(g, phi))
 
 
 class TestIsExpected:
     def test_tau_and_lifts_expected(self):
-        d = double_cover(petersen())
-        assert is_expected(d, tau(d))
+        g = petersen()
+        assert is_expected(g, tau(g))
         for phi in automorphism_group(petersen()).generators:
-            assert is_expected(d, lift(d, phi))
+            assert is_expected(g, lift(g, phi))
 
     def test_rejects_non_automorphism(self):
-        d = double_cover(cycle(5))
+        g = cycle(5)
         with pytest.raises(ValueError):
-            is_expected(d, from_cycles(10, [(0, 1)]))
+            is_expected(g, from_cycles(10, [(0, 1)]))
 
     def test_fiber_rule_matches_membership(self, graphs_by_order):
         # the fiber characterization coincides with expected-subgroup
@@ -145,10 +142,9 @@ class TestIsExpected:
         pool = [g for g in graphs_by_order[5] + rng.sample(graphs_by_order[6], 30)
                 if is_connected(g) and not is_bipartite(g)]
         for g in pool:
-            d = double_cover(g)
-            exp = expected_group(d)
-            for alpha in automorphism_group(d.cover).generators:
-                assert is_fiber_preserving(d, alpha) == exp.contains(alpha)
+            exp = expected_group(g)
+            for alpha in automorphism_group(double_cover(g)).generators:
+                assert is_fiber_preserving(g, alpha) == exp.contains(alpha)
 
     def test_layer_rule_matches_membership_without_groups(
             self, graphs_by_order, monkeypatch):
@@ -160,22 +156,21 @@ class TestIsExpected:
         cases = []
         for n in range(1, 7):
             for g in graphs_by_order[n]:
-                d = double_cover(g)
-                gens = canonical_form(d.cover).aut_generators
+                gens = canonical_form(double_cover(g)).aut_generators
                 alphas = list(gens) + [_mul(p, q) for p in gens for q in gens]
-                exp = expected_group(d)
-                cases.append((Graph.from_rows(g.adj), d, alphas,
+                exp = expected_group(g)
+                cases.append((Graph.from_rows(g.adj), alphas,
                               [exp.contains(a) for a in alphas],
                               automorphism_group(g).order(),
-                              automorphism_group(d.cover).order()))
+                              automorphism_group(double_cover(g)).order()))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the decision built a permutation group")
 
         monkeypatch.setattr(perms, "group_from_generators", refuse)
         monkeypatch.setattr(perms, "PermGroup", refuse)
-        for g, d, alphas, members, aut_x, aut_bx in cases:
-            assert [is_expected(d, a) for a in alphas] == members
+        for g, alphas, members, aut_x, aut_bx in cases:
+            assert [is_expected(g, a) for a in alphas] == members
             report = stability_report(g)
             assert (report.aut_x_order, report.aut_bx_order) == (aut_x, aut_bx)
 
@@ -183,11 +178,10 @@ class TestIsExpected:
         # two isolated vertices: a swap inside one fiber preserves fibers
         # but is not expected, because it splits layer 0 between the layers
         g = Graph(2)
-        d = double_cover(g)
         alpha = from_cycles(4, [(0, 2)])
-        assert is_cover_automorphism(d, alpha)
-        assert is_fiber_preserving(d, alpha)
-        assert not is_expected(d, alpha)
+        assert is_cover_automorphism(g, alpha)
+        assert is_fiber_preserving(g, alpha)
+        assert not is_expected(g, alpha)
 
 
 class TestStabilityReport:
@@ -254,9 +248,8 @@ class TestStabilityReport:
                 if is_connected(g) and not is_bipartite(g)]
         assert pool
         for g in pool:
-            d = double_cover(g)
-            gens = automorphism_group(d.cover).generators
-            all_fiber = all(is_fiber_preserving(d, a) for a in gens)
+            gens = automorphism_group(double_cover(g)).generators
+            all_fiber = all(is_fiber_preserving(g, a) for a in gens)
             assert stability_report(g).stable == all_fiber
 
     def test_fiber_decision_needs_connectivity(self):
@@ -265,14 +258,13 @@ class TestStabilityReport:
         # one swaps inside the isolated fiber), so fiber preservation alone
         # decides expectedness only for connected non-bipartite bases
         g = Graph(4, [(0, 1), (0, 2), (1, 2)])
-        d = double_cover(g)
         r = stability_report(g)
         assert not r.stable and REASON_DISCONNECTED in r.reasons
         inside_fiber_swap = from_cycles(8, [(3, 7)])
-        assert is_cover_automorphism(d, inside_fiber_swap)
-        assert is_fiber_preserving(d, inside_fiber_swap)
-        assert not expected_group(d).contains(inside_fiber_swap)
-        assert not is_expected(d, inside_fiber_swap)
+        assert is_cover_automorphism(g, inside_fiber_swap)
+        assert is_fiber_preserving(g, inside_fiber_swap)
+        assert not expected_group(g).contains(inside_fiber_swap)
+        assert not is_expected(g, inside_fiber_swap)
 
     def test_layer_partition_shortcut(self, graphs_by_order):
         # the full 2n-vertex search on the cover is the reference for the
@@ -284,7 +276,7 @@ class TestStabilityReport:
         disconnected = [g for g in sample if not is_connected(g)]
         assert layered and bipartite and disconnected
         for g in layered + bipartite[:3] + disconnected[:3]:
-            full = automorphism_group(double_cover(g).cover).order()
+            full = automorphism_group(double_cover(g)).order()
             assert stability_report(g).aut_bx_order == full
 
     def test_discrete_refinement_fast_path(self, graphs_by_order):
@@ -317,7 +309,7 @@ class TestStabilityReport:
         rng = random.Random(10)
         compared = 0
         for g in graphs_by_order[5] + rng.sample(graphs_by_order[6], 15):
-            cov = double_cover(g).cover
+            cov = double_cover(g)
             h = nx.Graph()
             h.add_nodes_from(range(cov.n))
             h.add_edges_from(cov.edges())
@@ -350,10 +342,9 @@ class TestStabilityReport:
     def test_expected_subgroup_closure_equals_lift_tau_closure(self):
         # expected subgroup = what tau and the lifts generate, element-wise
         g = cycle(5)
-        d = double_cover(g)
-        gens = [tau(d)] + [lift(d, p) for p in automorphism_group(g).generators]
+        gens = [tau(g)] + [lift(g, p) for p in automorphism_group(g).generators]
         closure = naive_closure(gens, 10)
-        assert expected_group(d).order() == len(closure)
+        assert expected_group(g).order() == len(closure)
 
 
 def disjoint_union(parts, rng=None):
@@ -372,7 +363,7 @@ def whole_cover_orders(g):
     """(|Aut(X)|, |Aut(BX)|) from the unit-partition search of X and of
     the whole 2n-vertex cover."""
     return (canonical_form(g).aut_order,
-            canonical_form(double_cover(g).cover).aut_order)
+            canonical_form(double_cover(g)).aut_order)
 
 
 def report_orders(g):
@@ -454,7 +445,7 @@ class TestComponentDecision:
         pool += [disjoint_union(parts) for parts, _, _ in COLLISIONS.values()]
         compared = 0
         for g in pool:
-            cov = double_cover(g).cover
+            cov = double_cover(g)
             h = nx.Graph()
             h.add_nodes_from(range(cov.n))
             h.add_edges_from(cov.edges())
@@ -529,7 +520,7 @@ class TestComponentDecision:
                 elif n <= 4:
                     (key, order), = cover._component_parts(
                         g, canonical_form(g))[1]
-                    whole = canonical_form(double_cover(g).cover)
+                    whole = canonical_form(double_cover(g))
                     assert order == whole.aut_order
                     pairs.add((key, whole.canonical_graph6))
                     covers.add(whole.canonical_graph6)
@@ -558,7 +549,7 @@ class TestComponentDecision:
             orders = report_orders(g)
             assert orders == whole_cover_orders(g)
             assert orders == (vf2_union_order(g),
-                              vf2_union_order(double_cover(g).cover))
+                              vf2_union_order(double_cover(g)))
 
     @pytest.mark.parametrize("part, coloured", [(P5, 0), (cycle(6), 1)],
                              ids=["P5", "C6"])
@@ -626,7 +617,7 @@ def layers(n):
 
 def unseeded_cover_form(g):
     """The layered cover search of g with no known automorphisms."""
-    return canonical_form(double_cover(g).cover, layers(g.n))
+    return canonical_form(double_cover(g), layers(g.n))
 
 
 class TestSeededCoverSearch:
@@ -686,7 +677,7 @@ class TestSeededCoverSearch:
 
     def test_bad_seeds_raise(self):
         g = cycle(5)
-        cov, cells = double_cover(g).cover, layers(5)
+        cov, cells = double_cover(g), layers(5)
         swap = list(range(10))
         swap[0], swap[1] = 1, 0  # keeps the layers, breaks edges
         tau_images = tuple(range(5, 10)) + tuple(range(5))  # swaps layers
@@ -703,7 +694,7 @@ class TestSeededCoverSearch:
         # the cover of K4 minus an edge has twins, so the search runs on
         # its quotient and the seeds, which act on the cover, go unused
         g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        cov, cells = double_cover(g).cover, layers(4)
+        cov, cells = double_cover(g), layers(4)
         tau_images = tuple(range(4, 8)) + tuple(range(4))
         assert (canonical_form(cov, cells, [tau_images]).aut_order
                 == unseeded_cover_form(g).aut_order)

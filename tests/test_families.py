@@ -5,8 +5,8 @@ import pytest
 from coverstab.graph_core import (Graph, diameter, has_twins, is_connected,
                                   is_bipartite, structural_profile)
 from coverstab.aut import are_isomorphic, canonical_form, vertex_orbits
-from coverstab.cover import (double_cover, is_cover_automorphism,
-                             is_fiber_preserving, stability_report)
+from coverstab.cover import (is_cover_automorphism, is_fiber_preserving,
+                             stability_report)
 from coverstab.criteria import srg_params
 from coverstab import families
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
@@ -49,6 +49,13 @@ class TestBasicFamilies:
             build(MAX_CONSTRUCTED + 1)
         with pytest.raises(Built):
             build(MAX_CONSTRUCTED)
+
+    def test_extension_too_large_is_refused(self):
+        # the four new vertices count against the cap
+        with pytest.raises(ValueError, match="four-vertex extension"):
+            extend_xab(Graph(MAX_CONSTRUCTED - 3), [0], [1])
+        e = extend_xab(Graph(MAX_CONSTRUCTED - 4), [0], [1])
+        assert e.result.n == MAX_CONSTRUCTED == 32768
 
 
 class TestJohnson:
@@ -201,11 +208,10 @@ class TestXabExtension:
 class TestGammaStar:
     def test_certifies_instability(self):
         e = extend_xab(complete_graph(3), {0}, frozenset())
-        d = double_cover(e.result)
         gs = instability_witness(e)
-        assert is_cover_automorphism(d, gs)
+        assert is_cover_automorphism(e.result, gs)
         assert _mul(gs, gs) == tuple(range(2 * e.result.n))
-        assert not is_fiber_preserving(d, gs)
+        assert not is_fiber_preserving(e.result, gs)
         moved = [i for i, x in enumerate(gs) if x != i]
         assert moved == [e.a1, e.a2, e.b1 + e.result.n, e.b2 + e.result.n]
         r = stability_report(e.result)
@@ -225,8 +231,7 @@ class TestGammaStar:
             A = set(rng.sample(range(n), size_a))
             B = set(rng.sample(range(n), rng.randrange(0, n + 1)))
             e = extend_xab(x, A, B)
-            d = double_cover(e.result)
             gs = instability_witness(e)
-            assert is_cover_automorphism(d, gs)
-            assert not is_fiber_preserving(d, gs)
+            assert is_cover_automorphism(e.result, gs)
+            assert not is_fiber_preserving(e.result, gs)
             assert stability_report(e.result).classification == "nontrivially_unstable"

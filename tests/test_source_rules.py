@@ -254,3 +254,43 @@ def test_one_record_of_the_four_vertex_extension():
     fields = [node.target.id for node in record.body
               if isinstance(node, ast.AnnAssign)]
     assert fields == ["result", "a1", "a2", "b1", "b2", "A", "B"]
+
+
+def _function(path, name):
+    """The module-level definition of function name in path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    [node] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def test_the_cover_is_a_graph():
+    # double_cover returns a plain Graph and the verification API takes the
+    # base graph, so no record pairs a graph with its cover
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    assert not [ref for path in modules
+                for name in ("DoubleCover", "is_base_automorphism")
+                for ref in _defines_or_names(path, name)]
+    cover_py = PACKAGE / "cover.py"
+    assert _name(_function(cover_py, "double_cover").returns) == "Graph"
+    for name in ("lift", "tau", "is_cover_automorphism",
+                 "is_fiber_preserving", "is_expected"):
+        first = _function(cover_py, name).args.args[0]
+        assert _name(first.annotation) == "Graph", name
+
+
+def test_census_rows_carry_their_ntu_graphs():
+    # the row holds the non-trivially unstable graph6 lines; census_row
+    # fills no list a caller passes in
+    args = _function(PACKAGE / "census.py", "census_row").args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    assert params and "collect_ntu" not in [a.arg for a in params]
+
+
+def test_twin_quotient_is_an_induced_subgraph():
+    # one round of the twin quotient keeps the least vertex of each class,
+    # so its graph comes from induced_subgraph, not rows built by hand
+    body = _split(PACKAGE / "aut.py", "aut._twin_round")[0]
+    names = {_name(node) for node in body}
+    assert "induced_subgraph" in names and "_unchecked" not in names
