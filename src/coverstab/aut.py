@@ -18,7 +18,7 @@ roots) is the package's one orbit routine: ``orbit_roots`` runs it on all
 points for ``vertex_orbits`` and for canonical-augmentation generation.
 
 The group order is read off the search tree, as nauty does: when a node on
-the first path has explored all its children, the automorphisms found that
+the first path has dealt with all its children, the automorphisms found that
 fix its prefix generate its stabilizer, so |Aut| is the product over the
 first path of the orbit sizes of its individualized vertices. Vertex
 orbits are the orbits of the generators the search found, which are image
@@ -36,6 +36,15 @@ merged classes, lifted level by level; the lifted generators conjugate
 them onto the orbit's other classes. An edgeless graph, a star or K_n is
 searched as at most two vertices.
 
+A first-path node keeps its first child's labelling. A later sibling
+with zeta's path and a non-discrete partition has the same cell layout,
+so the position-wise map between the two labellings fixes the prefix and
+the cells; when it is an automorphism, it is recorded and the sibling's
+subtree, its image of an explored one, is skipped.
+``_Search.add_automorphism`` checks such maps and the seeds on the rows
+of the vertices they move only, as saucy does (Katebi, Sakallah &
+Markov, "Faster symmetry discovery using sparsity of symmetries", 2008).
+
 A coloured search starts from ordered cells, which ``_checked_cells``
 checks on entry: non-empty, each vertex in exactly one, else ValueError.
 Seeds, automorphisms a caller already knows, start the search as its
@@ -51,7 +60,7 @@ from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional
 
-from .graph_core import (Graph, SoundnessError, graph6_size_prefix,
+from .graph_core import (Graph, SoundnessError, bits, graph6_size_prefix,
                          has_twins, induced_subgraph)
 from . import graph_core, perms
 
@@ -63,11 +72,9 @@ class CanonicalForm:
     ``relabeling`` maps input vertex -> canonical position; applying it to
     the input graph yields exactly the graph encoded by canonical_graph6.
     It and the generators are image tuples (v -> images[v]).
-    ``aut_order`` is the order of the group the generators generate. For
-    a graph with twins the generators are the twin-free quotient's and a
-    transposition and a cycle per orbit of merged twin classes, lifted
-    level by level. ``adj`` is the input graph's adjacency, kept by
-    reference.
+    ``aut_order`` is the order of the group the generators generate (see
+    the module docstring for twins). ``adj`` is the input graph's
+    adjacency, kept by reference.
     ``discrete``: refinement alone made the initial cells discrete (one
     leaf, no twins).
     """
@@ -236,6 +243,7 @@ class _Search:
         self.n = g.n
         self.gens: list[tuple[int, ...]] = []
         self.moved: list[int] = []  # the bitset each generator moves
+        self.nbrs: dict[int, list[int]] = {}  # as ``add_automorphism`` reads
         self.zeta: Optional[_Leaf] = None
         self.rho: Optional[_Leaf] = None
         self.order = 1
@@ -245,8 +253,8 @@ class _Search:
     def run(self, cells: tuple[tuple[int, ...], ...]) -> None:
         """Walk the tree from the cells depth first. stack[d] is the open
         node with prefix prefix[:d]: its partition, target cell, targets,
-        untried targets, orbit union-find and generators seen
-        (``_orbits``), and whether it lies on the first path."""
+        untried targets, orbit union-find and generators seen (``_orbits``),
+        whether it is on the first path and its first child's labelling."""
         trace: list[int] = []
         node = _equitable(self.g.adj, cells, trace)
         path, prefix, stack = [tuple(trace)], [], []
@@ -264,7 +272,7 @@ class _Search:
                     targets = sorted(lab[t:cend[t]])
                     stack.append([node, t, targets, iter(targets),
                                   dict(zip(targets, targets)), 0,
-                                  self.zeta is None])
+                                  self.zeta is None, None])
                 node = None
                 continue
             top = stack[-1]
@@ -287,6 +295,14 @@ class _Search:
                 child, trace = self._child(part, t, v)
                 path.append(trace)
                 k = len(path)
+                if top[6] and v == targets[0]:
+                    top[7] = child[0]
+                elif (top[6] and child[3] < self.n
+                      and path == self.zeta.path[:k]
+                      and self.add_automorphism(tuple(
+                          u for _, u in sorted(zip(top[7], child[0]))))):
+                    path.pop()
+                    continue
                 if (self.zeta is None or path == self.zeta.path[:k]
                         or path >= self.rho.path[:k]):
                     prefix.append(v)
@@ -296,8 +312,8 @@ class _Search:
             else:
                 if top[6]:
                     # A backjump never unwinds past an open first-path node,
-                    # so every sibling of the first child was explored or
-                    # pruned here.
+                    # so every sibling of the first child was explored,
+                    # pruned or mapped here.
                     uf = self._orbits(top, prefix)
                     self.order *= sum(_root(uf, v) == targets[0]
                                       for v in targets)
@@ -328,6 +344,21 @@ class _Search:
         trace: list[int] = []
         ncells = _refine(self.g.adj, lab, cellof, cend, [t], ncells + 1, trace)
         return (lab, cellof, cend, ncells), tuple(trace)
+
+    def add_automorphism(self, gen: tuple[int, ...]) -> bool:
+        """Record the permutation gen and return True if it maps the graph
+        onto itself, checked on its support: each moved vertex's
+        neighbours, mapped through gen, must make its image's row (a fixed
+        vertex then keeps its row). Neighbour lists are kept as read."""
+        bit, adj, nbrs = [1 << w for w in gen], self.g.adj, self.nbrs
+        for a, w in enumerate(gen):
+            if a != w:
+                if a not in nbrs:
+                    nbrs[a] = list(bits(adj[a]))
+                if sum(map(bit.__getitem__, nbrs[a])) != adj[w]:
+                    return False
+        self.add_generator(gen)
+        return True
 
     def add_generator(self, gen: tuple[int, ...]) -> None:
         """Record the automorphism gen, unless already known, with the
@@ -451,9 +482,8 @@ def canonical_form(g: Graph,
     for seed in () if levels else seeds:
         if not (sorted(seed) == list(range(n))
                 and all(_mask(seed[v] for v in c) == _mask(c) for c in cells)
-                and g.relabel(seed) == g):
+                and search.add_automorphism(seed)):
             raise SoundnessError("seed not a cell-preserving automorphism")
-        search.add_generator(seed)
     search.run(cells)
     lab, gens, order = search.rho.lab, search.gens, search.order
     for classes in reversed(levels):

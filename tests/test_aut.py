@@ -20,7 +20,8 @@ from coverstab.families import (complete_graph, cycle, petersen, johnson,
 from oracles import (brute_force_aut_count, brute_force_automorphisms,
                      backtrack_aut_count, naive_closure, complement,
                      line_graph, random_graph, colour_refinement, cube,
-                     lowbit_certificate, paley, refine, shuffled)
+                     lowbit_certificate, naive_relabel, paley, refine,
+                     shuffled)
 
 
 class TestRefine:
@@ -777,17 +778,118 @@ class TestLazyNeighbourLists:
         stability_report(petersen())  # a symmetric search does build them
         assert calls
 
-    def test_seed_check_shares_the_searched_cover_lists(self, monkeypatch):
-        # the seed check relabels the cover, and the cover's search then
-        # reads the lists that check memoized
-        built = []
+    @pytest.mark.parametrize("g", [johnson(7, 3), paley(29), johnson(9, 3)],
+                             ids=["J(7,3)", "Paley(29)", "J(9,3)"])
+    def test_one_leaf_cover_searches_build_none_on_the_cover(
+            self, monkeypatch, g):
+        # the seed check reads the neighbours of the vertices a seed moves
+        # into the search's own store, so a seeded cover search that reaches
+        # one leaf memoizes no lists on the cover; the search on X still does
+        calls, leaves = [], []
         real = graph_core.neighbour_lists
 
-        def recording(g):
-            if "neighbour_lists" not in g._cache:
-                built.append(g)
-            return real(g)
+        def counting(h):
+            calls.append(h.n)
+            return real(h)
 
-        monkeypatch.setattr(graph_core, "neighbour_lists", recording)
-        stability_report(paley(29))
-        assert [g.n for g in built] == [29, 58]
+        class Recording(aut._Search):
+            def _leaf(self, *args):
+                leaves.append(self.n)
+                super()._leaf(*args)
+
+        monkeypatch.setattr(graph_core, "neighbour_lists", counting)
+        monkeypatch.setattr(aut, "_Search", Recording)
+        assert stability_report(Graph.from_rows(g.adj)).stable
+        assert leaves.count(2 * g.n) == 1
+        assert g.n in calls and 2 * g.n not in calls
+
+
+class TestSiblingImages:
+    # a first-path node maps its first child's labelling position-wise onto
+    # each non-discrete sibling with zeta's path; a map that passes the
+    # check on its support is recorded and the sibling's subtree skipped.
+    # Seeds go through the same check.
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Patch in a search that keeps (verdict, search, map) for every
+        map it checks."""
+        tried = []
+
+        class Recording(aut._Search):
+            def run(self, cells):
+                self.cells = [set(cell) for cell in cells]
+                super().run(cells)
+
+            def add_automorphism(self, gen):
+                found = super().add_automorphism(gen)
+                tried.append((found, self, tuple(gen)))
+                return found
+
+        monkeypatch.setattr(aut, "_Search", Recording)
+        return tried
+
+    @staticmethod
+    def check(tried):
+        """The number of maps accepted, each a cell-preserving automorphism
+        by the bit-by-bit relabelling; every map rejected is none."""
+        for found, search, images in tried:
+            assert found == (naive_relabel(search.g, images) == search.g)
+            assert all({images[v] for v in cell} == cell
+                       for cell in search.cells)
+        return sum(found for found, *_ in tried)
+
+    def test_every_graph_up_to_order_7(self, monkeypatch, graphs_by_order):
+        tried = self.recording(monkeypatch)
+        for n in sorted(graphs_by_order):
+            for g in graphs_by_order[n]:
+                cf = canonical_form(Graph.from_rows(g.adj))
+                order = group_from_generators(cf.aut_generators, n).order()
+                assert cf.aut_order == order
+                cover = canonical_form(double_cover(g),
+                                       [range(n), range(n, 2 * n)])
+                order = group_from_generators(cover.aut_generators,
+                                              2 * n).order()
+                assert cover.aut_order == order
+                report = stability_report(Graph.from_rows(g.adj))
+                assert report.aut_x_order == cf.aut_order
+        assert self.check(tried)
+
+    @pytest.mark.parametrize("g, order, accepts", [
+        (lex_product(cycle(8), cube(3)), 48 ** 8 * 16, True),
+        (double_cover(complete_graph(20)), 2 * math.factorial(20), True),
+        (paley(29), 29 * 14, False),
+        (johnson(7, 3), math.factorial(7), False),
+    ], ids=["C8[Q3]", "crown(20)", "Paley(29)", "J(7,3)"])
+    def test_shuffled_symmetric_inputs(self, monkeypatch, g, order, accepts):
+        # no sibling map of Paley(29) or J(7,3) is an automorphism; the
+        # report adds the seeds of its cover search
+        tried = self.recording(monkeypatch)
+        h = shuffled(g, random.Random(g.n))
+        assert canonical_form(h).aut_order == order
+        assert tried and bool(self.check(tried)) == accepts
+        report = stability_report(Graph.from_rows(h.adj))
+        assert report.aut_x_order == order
+        assert self.check(tried)
+
+    @pytest.mark.parametrize("run, leaves, children", [
+        (lambda: stability_report(complete_graph(28)), 3, 53),
+        (lambda: canonical_form(double_cover(complete_graph(50))), 2, 99),
+        (lambda: stability_report(lex_product(cycle(9), cube(3))), 6, 188),
+    ], ids=["K28 report", "crown(50)", "C9[Q3] report"])
+    def test_work_bounds(self, monkeypatch, run, leaves, children):
+        # without the sibling check: 28/378, 51/1323 and 58/926
+        counts = {"leaves": 0, "children": 0}
+
+        class Counting(aut._Search):
+            def _leaf(self, *args):
+                counts["leaves"] += 1
+                super()._leaf(*args)
+
+            def _child(self, *args):
+                counts["children"] += 1
+                return super()._child(*args)
+
+        monkeypatch.setattr(aut, "_Search", Counting)
+        run()
+        assert counts["leaves"] <= leaves and counts["children"] <= children

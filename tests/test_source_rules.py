@@ -294,3 +294,25 @@ def test_twin_quotient_is_an_induced_subgraph():
     body = _split(PACKAGE / "aut.py", "aut._twin_round")[0]
     names = {_name(node) for node in body}
     assert "induced_subgraph" in names and "_unchecked" not in names
+
+
+def test_one_automorphism_check_on_the_support():
+    # canonical_form's seed check and the search's sibling check test an
+    # image tuple through one method, which reads only the rows of the
+    # vertices it moves; nothing in aut relabels a graph to compare it
+    aut_py = PACKAGE / "aut.py"
+    tree = ast.parse(aut_py.read_text(encoding="utf-8"), filename=str(aut_py))
+    assert not [node.lineno for node in ast.walk(tree)
+                if _name(node) == "relabel"]
+    checkers = {node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                for inner in ast.walk(node) if isinstance(inner, ast.Compare)
+                for side in [inner.left, *inner.comparators]
+                if isinstance(side, ast.Subscript)
+                and _name(side.value) == "adj"}
+    assert checkers == {"add_automorphism"}
+    for user in ("aut.canonical_form", "aut._Search.run"):
+        body = _split(aut_py, user)[0]
+        assert any(isinstance(node, ast.Call)
+                   and _name(node.func) == "add_automorphism"
+                   for node in body), user
