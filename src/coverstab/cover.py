@@ -43,7 +43,7 @@ from math import factorial
 from typing import Sequence
 
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
-                         has_twins, bits, component_layers, distance_layers,
+                         has_twins, bits, component_layers,
                          layers_bipartite, induced_subgraph, memoized)
 from .aut import CanonicalForm, canonical_form
 
@@ -159,7 +159,7 @@ def _layered_cover_form(c: Graph, cf: CanonicalForm) -> CanonicalForm:
 def _component_parts(c: Graph, cf: CanonicalForm) -> tuple[list, list]:
     """The (key, |Aut|) parts a connected c with canonical form cf adds
     to X and to BX."""
-    layers = distance_layers(c, 0)
+    layers = component_layers(c)[0]
     if layers_bipartite(c, layers):
         key, odd = cf.canonical_graph6, sum(layers[1::2])
         if any(odd >> gen[0] & 1 for gen in cf.aut_generators):

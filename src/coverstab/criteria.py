@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph_core import (Graph, SoundnessError, bits, diameter,
-                         distance_layers, is_connected, is_bipartite,
-                         has_twins, memoized, triangle_flags)
+from .graph_core import (Graph, SoundnessError, bfs_layers, bits, diameter,
+                         is_connected, is_bipartite, has_twins, memoized,
+                         triangle_flags)
 from .cover import stability_report
 
 
@@ -106,13 +106,13 @@ def intersection_array(g: Graph) -> Optional[IntersectionArray]:
     """Distance-regular parameters: from every vertex x, each vertex of
     layer j around x has b_j neighbours in layer j + 1 and c_j in layer
     j - 1. None if some count varies within a layer or between vertices.
-    The distance-regular checker and each strongly regular one read it."""
+    The distance-regular, strongly regular and diameter-2 checkers read it."""
     if g.n == 0 or not is_connected(g):
         return None
     adj = g.adj
     found = None
     for x in range(g.n):
-        shells = (0,) + distance_layers(g, x) + (0,)
+        shells = (0,) + bfs_layers(g, x) + (0,)
         b, c = [], []
         for j in range(1, len(shells) - 1):
             ys = list(bits(shells[j]))
@@ -150,7 +150,7 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
         failed.append("an edge lies on no triangle")
     adj = g.adj
     for x in range(g.n):
-        shell2, shell3, shell4 = (distance_layers(g, x) + (0, 0, 0))[2:5]
+        shell2, shell3, shell4 = (bfs_layers(g, x) + (0, 0, 0))[2:5]
         if not shell2:
             failed.append(f"second shell of vertex {x} is empty")
             break
@@ -246,13 +246,14 @@ def check_srg_distinct_counts(g: Graph) -> CriterionVerdict:
 def check_triangle_free_diam2(g: Graph) -> CriterionVerdict:
     """No non-trivially unstable triangle-free graph of diameter 2 exists:
     connected, non-bipartite, twin-free, triangle-free, diameter 2 imply
-    stability."""
+    stability. A distance-regular graph's diameter is read off its array."""
     crit = "triangle-free-diameter-2"
     failed = _trivial_or_disconnected(g)
     if is_connected(g):
         if is_bipartite(g):
             failed.append("bipartite")
-        diam = diameter(g)
+        arr = intersection_array(g)
+        diam = diameter(g) if arr is None else arr.d
         if diam != 2:
             failed.append(f"diameter {diam} != 2")
     if has_twins(g):

@@ -54,10 +54,10 @@ class Graph:
 
     ``adj[v]`` is the neighbourhood of v as a bitset. Instances hash and
     compare by (n, adj) and are safe to share across threads; the private
-    ``_cache`` slot memoizes derived data (canonical form, the BFS layer
-    table of ``distance_layers``, each fact kept by ``memoized``, such as
-    the ``neighbour_lists`` that relabelling reads) without affecting value
-    semantics.
+    ``_cache`` slot memoizes derived data (the canonical form and each fact
+    kept by ``memoized``, such as ``neighbour_lists`` and
+    ``component_layers``) without affecting value semantics. No table of
+    every vertex's layers is kept: on a path it would hold Θ(n³) bits.
     """
 
     __slots__ = ("n", "adj", "label", "_cache")
@@ -283,41 +283,32 @@ def bfs_layers(g: Graph, x: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
-def distance_layers(g: Graph, x: int) -> tuple[int, ...]:
-    """``bfs_layers(g, x)``, memoized per graph: every distance fact of the
-    graph is read from this one table, so each vertex is searched once."""
-    table = g._cache.get("layers")
-    if table is None:
-        table = g._cache["layers"] = [None] * g.n
-    if table[x] is None:
-        table[x] = bfs_layers(g, x)
-    return table[x]
-
-
 def bfs_distances(g: Graph, x: int) -> list[int]:
     """Distances from x to every vertex; -1 for unreachable."""
     dist = [-1] * g.n
-    for d, layer in enumerate(distance_layers(g, x)):
+    for d, layer in enumerate(bfs_layers(g, x)):
         for v in bits(layer):
             dist[v] = d
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    """The layers around vertex 0 cover every vertex."""
-    return g.n == 0 or sum(distance_layers(g, 0)) == (1 << g.n) - 1
-
-
-def component_layers(g: Graph) -> list[tuple[int, ...]]:
+@memoized
+def component_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The BFS layers of each connected component around its smallest
-    vertex, components in the order of that vertex."""
+    vertex, components in the order of that vertex: the one memoized
+    distance table, read for connectivity, bipartiteness and components."""
     out = []
     unseen = (1 << g.n) - 1
     while unseen:
-        layers = distance_layers(g, (unseen & -unseen).bit_length() - 1)
+        layers = bfs_layers(g, (unseen & -unseen).bit_length() - 1)
         unseen ^= sum(layers)
         out.append(layers)
-    return out
+    return tuple(out)
+
+
+def is_connected(g: Graph) -> bool:
+    """At most one component."""
+    return len(component_layers(g)) <= 1
 
 
 def layers_bipartite(g: Graph, layers: Sequence[int]) -> bool:
@@ -343,13 +334,11 @@ def has_twins(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> Optional[int]:
-    """Max eccentricity, or None (infinite) when disconnected. Layer tables
-    not yet memoized stay unstored: on a path they hold Θ(n³) bits."""
+    """Max eccentricity, or None (infinite) when disconnected; each
+    vertex's layers are dropped once counted."""
     if not is_connected(g):
         return None
-    table = g._cache.get("layers") or [None] * g.n
-    return max((len(table[x] or bfs_layers(g, x)) - 1 for x in range(g.n)),
-               default=0)
+    return max((len(bfs_layers(g, x)) - 1 for x in range(g.n)), default=0)
 
 
 @memoized

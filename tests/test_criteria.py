@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -325,8 +326,10 @@ class TestSharedDistanceTable:
         lambda: random_graph(random.Random(40), 40, 0.5),
     ], ids=["Petersen", "G(40,1/2)"])
     def test_one_bfs_per_vertex(self, make, monkeypatch):
-        # every checker reads one memoized table of BFS layers, so each
-        # vertex is searched at most once
+        # no walk stores per-vertex layers; the growth checker stops at its
+        # first failing vertex, and the diameter-2 checker reads a
+        # distance-regular graph's diameter off the memoized intersection
+        # array, so only one of the array and the diameter walks every vertex
         g = make()
         assert is_connected(g)
         calls = []
@@ -342,6 +345,20 @@ class TestSharedDistanceTable:
                 monkeypatch.setattr(module, "bfs_layers", counting)
         criteria_summary(g)
         assert len(calls) <= g.n + 10
+
+    def test_long_cycle_summary_stores_no_layer_table(self):
+        # C_601 is distance-regular of diameter 300, so both the growth
+        # walk and the intersection array visit every vertex; a table of
+        # every vertex's layers peaked at 15 MiB here, and the unstored
+        # walks peak at 0.1 MiB
+        g = cycle(601)
+        tracemalloc.start()
+        try:
+            criteria_summary(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("make", [
         lambda: Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)

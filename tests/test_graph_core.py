@@ -3,15 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverstab import graph_core
+from coverstab import cover, criteria, graph_core
 from coverstab.graph_core import (Graph, GraphParseError, parse_graph6,
-                                  write_graph6, distance_layers,
+                                  write_graph6, bfs_layers,
                                   structural_profile, induced_subgraph,
                                   has_twins, diameter, is_connected,
                                   is_bipartite, bfs_distances,
                                   neighbour_lists)
 from coverstab.families import complete_graph, cycle, petersen, johnson
 from coverstab.aut import vertex_orbits
+from coverstab.criteria import (check_triangle_free_diam2, criteria_summary,
+                                intersection_array)
 
 from oracles import (ref_encode_graph6, naive_all_pairs_distances,
                      naive_relabel, random_graph)
@@ -162,20 +164,20 @@ class TestGraphType:
 
 
 class TestDistancePartition:
-    # distance_layers(g, x)[i] is the bitset of vertices at distance i
+    # bfs_layers(g, x)[i] is the bitset of vertices at distance i
     def test_cycle_layers(self):
-        layers = distance_layers(cycle(5), 0)
+        layers = bfs_layers(cycle(5), 0)
         assert [layer.bit_count() for layer in layers] == [1, 2, 2]
         assert len(layers) - 1 == 2
         assert sum(layers) == (1 << 5) - 1
 
     def test_complete_layers(self):
-        layers = distance_layers(k(4), 2)
+        layers = bfs_layers(k(4), 2)
         assert [layer.bit_count() for layer in layers] == [1, 3]
 
     def test_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert (1 << 4) - 1 - sum(distance_layers(g, 0)) == 0b1100
+        assert (1 << 4) - 1 - sum(bfs_layers(g, 0)) == 0b1100
 
     def test_against_naive_all_pairs(self):
         rng = random.Random(13)
@@ -184,7 +186,7 @@ class TestDistancePartition:
             g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             dist = naive_all_pairs_distances(g)
             for x in range(n):
-                layers = distance_layers(g, x)
+                layers = bfs_layers(g, x)
                 for v in range(n):
                     if dist[x][v] == float("inf"):
                         assert not any(layer >> v & 1 for layer in layers)
@@ -192,27 +194,35 @@ class TestDistancePartition:
                         assert layers[int(dist[x][v])] >> v & 1
 
     def test_diameter_stores_no_new_layer_tables(self):
-        # a path's layer tables hold Θ(n³) bits, so diameter reads the
-        # memo but keeps only what is_connected put there
+        # a path's per-vertex layers hold Θ(n³) bits, so no distance walk
+        # stores them: the cache keeps memoized facts, and its one distance
+        # table is the layers around the single component's root
         g = Graph(300, [(v, v + 1) for v in range(299)])
         assert is_connected(g)
-        before = [x for x, t in enumerate(g._cache["layers"]) if t]
-        fresh = Graph(300, [(v, v + 1) for v in range(299)])
-        assert diameter(fresh) == 299
-        assert [x for x, t in enumerate(fresh._cache["layers"]) if t] == before
+        assert diameter(g) == 299
+        criteria_summary(g)
+        memoized = {name for module in (graph_core, cover, criteria)
+                    for name, fn in vars(module).items()
+                    if hasattr(fn, "__wrapped__")}
+        assert set(g._cache) <= memoized
+        assert g._cache["component_layers"] == (bfs_layers(g, 0),)
 
     def test_diameter_reads_memoized_tables(self, monkeypatch):
-        # once every table is memoized (as intersection_array leaves them),
-        # diameter runs no BFS of its own
-        g = johnson(7, 3)
-        for x in range(g.n):
-            distance_layers(g, x)
-
+        # once the intersection array is memoized, the diameter-2 checker
+        # reads the diameter off its length and runs no BFS of its own
         def no_bfs(g, x):
-            raise AssertionError("diameter ran a BFS")
+            raise AssertionError("a BFS ran")
 
+        graphs = [johnson(7, 3), petersen()]
+        for g in graphs:
+            assert intersection_array(g) is not None
         monkeypatch.setattr(graph_core, "bfs_layers", no_bfs)
-        assert diameter(g) == 3
+        monkeypatch.setattr(criteria, "bfs_layers", no_bfs)
+        johnson_verdict, petersen_verdict = map(check_triangle_free_diam2,
+                                                graphs)
+        assert johnson_verdict.failed_hypotheses == (
+            "diameter 3 != 2", "contains a triangle")
+        assert petersen_verdict.applies
 
 
 class TestStructuralProfile:

@@ -316,3 +316,40 @@ def test_one_automorphism_check_on_the_support():
         assert any(isinstance(node, ast.Call)
                    and _name(node.func) == "add_automorphism"
                    for node in body), user
+
+
+def _owned_names(path):
+    """(owner, node) for each node of path, where owner is the innermost
+    enclosing module.function or module.Class.method ("" for none)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    stack = [(tree, path.stem)]
+    while stack:
+        node, owner = stack.pop()
+        yield owner, node
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{owner}.{child.name}" if isinstance(child, defs)
+                     else owner)
+            stack.append((child, inner))
+
+
+def test_cache_written_only_by_memoized_and_canonical_form():
+    # every cached fact of a graph is kept by graph_core.memoized under its
+    # function's name, apart from the canonical form; no hand-written table,
+    # such as one of every vertex's BFS layers, may come back beside them
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    owners = ("graph_core.memoized", "aut.canonical_form",
+              "graph_core.Graph.__init__", "graph_core.Graph._unchecked")
+    users = {owner for path in modules
+             for owner, node in _owned_names(path)
+             if _name(node) == "_cache"}
+    assert {owner for owner in owners
+            if any(user.startswith(owner) for user in users)} == set(owners)
+    assert not [user for user in users
+                if not any(user == owner or user.startswith(owner + ".")
+                           for owner in owners)]
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and node.value == "layers"]
+    assert not found
