@@ -6,16 +6,17 @@ branch on vertices of a deterministically chosen target cell, and keep two
 reference leaves (the first leaf for automorphism detection, the best leaf
 for the canonical form), walking the tree with an explicit stack. Each
 node refines one array of cells in place (``_refine``), and its exact
-refinement trace is its invariant. Leaves compare by path, then by their
-relabelled rows, built only when a reference leaf has the same path. Each
-row sums a bit table over the vertex's neighbour list, which a search
-builds at its first certificate (``graph_core.neighbour_lists``). Each
-open node keeps a union-find of its orbits under the automorphisms found
-that fix its prefix, fed only the generators found since it last looked,
-and tries the least vertex of each orbit. Skipped branches are provably
-equivalent to explored ones. That union-find (``_merge``, least points as
-roots) is the package's one orbit routine: ``orbit_roots`` runs it on all
-points for ``vertex_orbits`` and for canonical-augmentation generation.
+refinement trace is its invariant. A leaf matches a reference leaf of
+its path when the position map between them is an automorphism; one
+that matches neither is compared with the best leaf by path, then by its
+relabelled rows. Rows are summed over ``graph_core.neighbour_lists``,
+memoized per graph. Each open node keeps a union-find of its orbits
+under the automorphisms found that fix its prefix, fed only the
+generators found since it last looked, and tries the least vertex of
+each orbit. Skipped branches are provably equivalent to explored ones.
+That union-find (``_merge``, least points as roots) is the package's one
+orbit routine: ``orbit_roots`` runs it on all points for
+``vertex_orbits`` and for canonical-augmentation generation.
 
 The group order is read off the search tree, as nauty does: when a node on
 the first path has dealt with all its children, the automorphisms found that
@@ -41,9 +42,10 @@ with zeta's path and a non-discrete partition has the same cell layout,
 so the position-wise map between the two labellings fixes the prefix and
 the cells; when it is an automorphism, it is recorded and the sibling's
 subtree, its image of an explored one, is skipped.
-``_Search.add_automorphism`` checks such maps and the seeds on the rows
-of the vertices they move only, as saucy does (Katebi, Sakallah &
-Markov, "Faster symmetry discovery using sparsity of symmetries", 2008).
+``_Search.add_automorphism`` checks and records seeds, sibling maps and
+leaf matches alike, on the rows of the vertices they move only, as saucy
+does (Katebi, Sakallah & Markov, "Faster symmetry discovery using
+sparsity of symmetries", 2008).
 
 A coloured search starts from ordered cells, which ``_checked_cells``
 checks on entry: non-empty, each vertex in exactly one, else ValueError.
@@ -60,7 +62,7 @@ from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional
 
-from .graph_core import (Graph, SoundnessError, bits, graph6_size_prefix,
+from .graph_core import (Graph, SoundnessError, graph6_size_prefix,
                          has_twins, induced_subgraph)
 from . import graph_core, perms
 
@@ -234,16 +236,15 @@ class _Search:
 
     ``zeta`` is the first leaf, against which automorphisms are detected;
     ``rho`` is the best leaf, the greatest by (path, certificate), which
-    gives the canonical form. A leaf's certificate is built only when its
-    path equals one of theirs, and is dropped with the leaf.
+    gives the canonical form. A leaf with the path of one of them is
+    matched through ``add_automorphism``; only one that matches neither
+    builds its certificate, which is dropped with the leaf.
     """
 
     def __init__(self, g: Graph):
         self.g = g  # the graph searched, perhaps a twin quotient
         self.n = g.n
         self.gens: list[tuple[int, ...]] = []
-        self.moved: list[int] = []  # the bitset each generator moves
-        self.nbrs: dict[int, list[int]] = {}  # as ``add_automorphism`` reads
         self.zeta: Optional[_Leaf] = None
         self.rho: Optional[_Leaf] = None
         self.order = 1
@@ -325,9 +326,8 @@ class _Search:
         only the generators found since top last looked."""
         uf, seen = top[4], top[5]
         if seen < len(self.gens):
-            fixed = _mask(prefix)
-            for g, moved in zip(self.gens[seen:], self.moved[seen:]):
-                if not moved & fixed:
+            for g in self.gens[seen:]:
+                if all(g[v] == v for v in prefix):
                     _merge(uf, g, top[2])
             top[5] = len(self.gens)
         return uf
@@ -346,30 +346,23 @@ class _Search:
         return (lab, cellof, cend, ncells), tuple(trace)
 
     def add_automorphism(self, gen: tuple[int, ...]) -> bool:
-        """Record the permutation gen and return True if it maps the graph
-        onto itself, checked on its support: each moved vertex's
-        neighbours, mapped through gen, must make its image's row (a fixed
-        vertex then keeps its row). Neighbour lists are kept as read."""
-        bit, adj, nbrs = [1 << w for w in gen], self.g.adj, self.nbrs
+        """Record the permutation gen, unless known, and return True if it
+        maps the graph onto itself, checked on its support: each moved
+        vertex's neighbours, mapped through gen, must make its image's row
+        (a fixed vertex then keeps its row)."""
+        bit, adj = [1 << w for w in gen], self.g.adj
+        nbrs = graph_core.neighbour_lists(self.g)
         for a, w in enumerate(gen):
-            if a != w:
-                if a not in nbrs:
-                    nbrs[a] = list(bits(adj[a]))
-                if sum(map(bit.__getitem__, nbrs[a])) != adj[w]:
-                    return False
-        self.add_generator(gen)
-        return True
-
-    def add_generator(self, gen: tuple[int, ...]) -> None:
-        """Record the automorphism gen, unless already known, with the
-        bitset of the vertices it moves."""
+            if a != w and sum(map(bit.__getitem__, nbrs[a])) != adj[w]:
+                return False
         if gen not in self.gens:
             self.gens.append(gen)
-            self.moved.append(_mask(v for v, w in enumerate(gen) if v != w))
+        return True
 
     def _cert(self, leaf: _Leaf) -> tuple[int, ...]:
         """leaf's certificate, built on first use: the rows, as bitsets of
-        positions, of the graph relabelled so that leaf.lab[i] becomes i."""
+        positions, of the graph relabelled so that leaf.lab[i] becomes i;
+        it orders leaves and never decides an automorphism."""
         if leaf.cert is None:
             bit = [1 << i for i in perms._inv(leaf.lab)]
             nbrs = graph_core.neighbour_lists(self.g)
@@ -379,12 +372,12 @@ class _Search:
         return leaf.cert
 
     def _match(self, ref: _Leaf, leaf: _Leaf) -> Optional[int]:
-        """When leaf has ref's path and graph, record the automorphism
-        ref.lab -> leaf.lab and return the depth of the deepest common
-        ancestor of the two leaves; otherwise None."""
-        if leaf.path != ref.path or self._cert(leaf) != self._cert(ref):
+        """When leaf has ref's path and the position map ref.lab -> leaf.lab
+        passes ``add_automorphism``, which records it, return the depth of
+        the deepest common ancestor of the two leaves; otherwise None."""
+        if leaf.path != ref.path or not self.add_automorphism(
+                tuple(v for _, v in sorted(zip(ref.lab, leaf.lab)))):
             return None
-        self.add_generator(tuple(v for _, v in sorted(zip(ref.lab, leaf.lab))))
         depth = 0
         while leaf.prefix[depth] == ref.prefix[depth]:
             depth += 1
@@ -398,12 +391,13 @@ class _Search:
             self.zeta = self.rho = leaf
             return
         # rho is replaced only by a greater leaf, so unless it is zeta the
-        # two differ and a leaf matches one of them at most
+        # two differ and a leaf matches one of them at most; a matched leaf
+        # has its reference's certificate, so it never exceeds rho
         self.jump_to = self._match(zeta, leaf)
         if self.jump_to is None and rho is not zeta:
             self.jump_to = self._match(rho, leaf)
-        if leaf.path > rho.path or (leaf.path == rho.path
-                                    and self._cert(leaf) > self._cert(rho)):
+        if self.jump_to is None and (leaf.path > rho.path or (
+                leaf.path == rho.path and self._cert(leaf) > self._cert(rho))):
             self.rho = leaf
 
 

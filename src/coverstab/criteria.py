@@ -106,7 +106,8 @@ def intersection_array(g: Graph) -> Optional[IntersectionArray]:
     """Distance-regular parameters: from every vertex x, each vertex of
     layer j around x has b_j neighbours in layer j + 1 and c_j in layer
     j - 1. None if some count varies within a layer or between vertices.
-    The distance-regular, strongly regular and diameter-2 checkers read it."""
+    The growth, distance-regular, strongly regular and diameter-2 checkers
+    read it."""
     if g.n == 0 or not is_connected(g):
         return None
     adj = g.adj
@@ -139,8 +140,11 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
     distance-2 vertex has a neighbour at distance 3, and every distance-3
     vertex has a neighbour at distance 4.
 
-    Complete graphs have an empty second shell and deliberately do not
-    qualify; their stability is covered by the complete-graph fact.
+    On a distance-regular graph of diameter d the growth holds exactly
+    when d >= 4 (b_j >= 1 for j < d, and b_d = 0), and every vertex fails
+    as vertex 0 does, so the memoized array leaves no vertex or only vertex
+    0 to walk. Complete graphs have an empty second shell and deliberately
+    do not qualify; their stability is covered by the complete-graph fact.
     """
     crit = "triangle-distance-growth"
     failed = _trivial_or_disconnected(g)
@@ -148,8 +152,8 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
         return _verdict(crit, failed)
     if not triangle_flags(g)[0]:
         failed.append("an edge lies on no triangle")
-    adj = g.adj
-    for x in range(g.n):
+    adj, arr = g.adj, intersection_array(g)
+    for x in range(g.n) if arr is None else () if arr.d >= 4 else (0,):
         shell2, shell3, shell4 = (bfs_layers(g, x) + (0, 0, 0))[2:5]
         if not shell2:
             failed.append(f"second shell of vertex {x} is empty")
@@ -166,7 +170,10 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
 
 
 def check_distance_regular(g: Graph) -> CriterionVerdict:
-    """Distance-regular specialization: d >= 4, b0 > b1 + 1, b2, b3 >= 1."""
+    """Distance-regular specialization: d >= 4 and b0 > b1 + 1. The
+    hypotheses b2, b3 >= 1 need no check: in a distance-regular graph
+    b_j >= 1 for every j < d, since layer j + 1 is non-empty and each of
+    its vertices has a neighbour in layer j."""
     crit = "distance-regular-growth"
     arr = intersection_array(g)
     if arr is None:
@@ -176,10 +183,6 @@ def check_distance_regular(g: Graph) -> CriterionVerdict:
         failed.append(f"diameter {arr.d} < 4")
     if arr.d >= 2 and arr.b[0] <= arr.b[1] + 1:
         failed.append("b0 <= b1 + 1 (some edge lies on no triangle)")
-    if arr.d >= 3 and arr.b[2] < 1:
-        failed.append("b2 = 0")
-    if arr.d >= 4 and arr.b[3] < 1:
-        failed.append("b3 = 0")
     return _verdict(crit, failed)
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -778,30 +779,61 @@ class TestLazyNeighbourLists:
         stability_report(petersen())  # a symmetric search does build them
         assert calls
 
-    @pytest.mark.parametrize("g", [johnson(7, 3), paley(29), johnson(9, 3)],
-                             ids=["J(7,3)", "Paley(29)", "J(9,3)"])
-    def test_one_leaf_cover_searches_build_none_on_the_cover(
-            self, monkeypatch, g):
-        # the seed check reads the neighbours of the vertices a seed moves
-        # into the search's own store, so a seeded cover search that reaches
-        # one leaf memoizes no lists on the cover; the search on X still does
-        calls, leaves = [], []
+    @pytest.mark.parametrize("g, certified", [
+        (johnson(7, 3), False),
+        (paley(29), False),
+        (johnson(9, 3), False),
+        (parse_graph6("G?otQk"), True),
+    ], ids=["J(7,3)", "Paley(29)", "J(9,3)", "G?otQk"])
+    def test_each_graph_builds_its_lists_once(self, monkeypatch, g, certified):
+        # one list per row: during a report each graph's lists are built at
+        # most once, the seed check builds the cover's before its search
+        # runs, and the search's checks and certificates read those same
+        # lists. A symmetric X leaves its cover search one leaf and no
+        # certificate; G?otQk's cover search compares two leaves that are
+        # not images of each other
+        stage, built, reads, leaves = [None], [], [], []
         real = graph_core.neighbour_lists
 
         def counting(h):
-            calls.append(h.n)
-            return real(h)
+            if "neighbour_lists" not in h._cache:
+                built.append((h.n, stage[0]))
+            lists = real(h)
+            reads.append((h.n, stage[0], id(lists)))
+            return lists
 
         class Recording(aut._Search):
+            def __init__(self, h):
+                stage[0] = "seeds"
+                super().__init__(h)
+
+            def run(self, cells):
+                stage[0] = "search"
+                super().run(cells)
+                stage[0] = None
+
             def _leaf(self, *args):
                 leaves.append(self.n)
                 super()._leaf(*args)
 
+            def _cert(self, leaf):
+                stage[0] = "certificate"
+                try:
+                    return super()._cert(leaf)
+                finally:
+                    stage[0] = "search"
+
         monkeypatch.setattr(graph_core, "neighbour_lists", counting)
         monkeypatch.setattr(aut, "_Search", Recording)
         assert stability_report(Graph.from_rows(g.adj)).stable
-        assert leaves.count(2 * g.n) == 1
-        assert g.n in calls and 2 * g.n not in calls
+        sizes = [n for n, _ in built]
+        assert sorted(sizes) == sorted(set(sizes))
+        assert g.n in sizes and (2 * g.n, "seeds") in built
+        cover_reads = [(s, i) for n, s, i in reads if n == 2 * g.n]
+        assert len({i for _, i in cover_reads}) == 1
+        assert any(s == "certificate" for s, _ in cover_reads) == certified
+        if not certified:
+            assert leaves.count(2 * g.n) == 1
 
 
 class TestSiblingImages:
@@ -812,18 +844,28 @@ class TestSiblingImages:
 
     @staticmethod
     def recording(monkeypatch):
-        """Patch in a search that keeps (verdict, search, map) for every
-        map it checks."""
+        """Patch in a search that keeps (verdict, search, map, source) for
+        every map it checks, its source "seed", "sibling" or "leaf"."""
         tried = []
 
         class Recording(aut._Search):
+            source = "seed"
+
             def run(self, cells):
                 self.cells = [set(cell) for cell in cells]
+                self.source = "sibling"
                 super().run(cells)
+
+            def _match(self, ref, leaf):
+                self.source = "leaf"
+                try:
+                    return super()._match(ref, leaf)
+                finally:
+                    self.source = "sibling"
 
             def add_automorphism(self, gen):
                 found = super().add_automorphism(gen)
-                tried.append((found, self, tuple(gen)))
+                tried.append((found, self, tuple(gen), self.source))
                 return found
 
         monkeypatch.setattr(aut, "_Search", Recording)
@@ -831,13 +873,14 @@ class TestSiblingImages:
 
     @staticmethod
     def check(tried):
-        """The number of maps accepted, each a cell-preserving automorphism
-        by the bit-by-bit relabelling; every map rejected is none."""
-        for found, search, images in tried:
+        """The number of maps accepted per source, each a cell-preserving
+        automorphism by the bit-by-bit relabelling; every map rejected is
+        none."""
+        for found, search, images, _ in tried:
             assert found == (naive_relabel(search.g, images) == search.g)
             assert all({images[v] for v in cell} == cell
                        for cell in search.cells)
-        return sum(found for found, *_ in tried)
+        return Counter(source for found, *_, source in tried if found)
 
     def test_every_graph_up_to_order_7(self, monkeypatch, graphs_by_order):
         tried = self.recording(monkeypatch)
@@ -853,7 +896,7 @@ class TestSiblingImages:
                 assert cover.aut_order == order
                 report = stability_report(Graph.from_rows(g.adj))
                 assert report.aut_x_order == cf.aut_order
-        assert self.check(tried)
+        assert set(self.check(tried)) == {"seed", "sibling", "leaf"}
 
     @pytest.mark.parametrize("g, order, accepts", [
         (lex_product(cycle(8), cube(3)), 48 ** 8 * 16, True),
@@ -862,15 +905,55 @@ class TestSiblingImages:
         (johnson(7, 3), math.factorial(7), False),
     ], ids=["C8[Q3]", "crown(20)", "Paley(29)", "J(7,3)"])
     def test_shuffled_symmetric_inputs(self, monkeypatch, g, order, accepts):
-        # no sibling map of Paley(29) or J(7,3) is an automorphism; the
-        # report adds the seeds of its cover search
+        # no sibling map of Paley(29) or J(7,3) is an automorphism, though
+        # leaf matches are; the report adds the seeds of its cover search,
+        # which a bipartite X such as crown(20) does not need
         tried = self.recording(monkeypatch)
         h = shuffled(g, random.Random(g.n))
         assert canonical_form(h).aut_order == order
-        assert tried and bool(self.check(tried)) == accepts
+        accepted = self.check(tried)
+        assert bool(accepted["sibling"]) == accepts
+        assert accepted["leaf"] and not accepted["seed"]
         report = stability_report(Graph.from_rows(h.adj))
         assert report.aut_x_order == order
-        assert self.check(tried)
+        assert bool(self.check(tried)["seed"]) == (not is_bipartite(h))
+
+    # the order-8 graphs whose searches, on X or on the cover, meet a leaf
+    # with a reference leaf's path that is not an image of it
+    UNMATCHED_AT_ORDER_8 = ["G?otQg", "G?otQk", "GCRFfO", "GCpvbo", "GCZVfO",
+                            "GEzet[", "GQov?{", "GQjVbW"]
+
+    def test_support_check_agrees_with_certificates(
+            self, monkeypatch, graphs_by_order):
+        # for every leaf with a reference leaf's path, the check on the
+        # support of the position map accepts exactly when the two
+        # certificates are equal; the recorded generators are restored
+        verdicts = []
+
+        class Checking(aut._Search):
+            def _leaf(self, lab, path, prefix):
+                leaf = aut._Leaf(list(path), list(lab), list(prefix))
+                for ref in {id(r): r for r in (self.zeta, self.rho)
+                            if r is not None}.values():
+                    if ref.path == leaf.path:
+                        gens = list(self.gens)
+                        found = self.add_automorphism(tuple(
+                            v for _, v in sorted(zip(ref.lab, leaf.lab))))
+                        self.gens[:] = gens
+                        verdicts.append((found, self._cert(leaf)
+                                         == self._cert(ref), self.n))
+                super()._leaf(lab, path, prefix)
+
+        monkeypatch.setattr(aut, "_Search", Checking)
+        graphs = [g for n in sorted(graphs_by_order)
+                  for g in graphs_by_order[n]]
+        graphs += map(parse_graph6, self.UNMATCHED_AT_ORDER_8)
+        for g in graphs:
+            canonical_form(Graph.from_rows(g.adj))
+            canonical_form(double_cover(g), [range(g.n), range(g.n, 2 * g.n)])
+        assert all(found == equal for found, equal, _ in verdicts)
+        assert {found for found, *_ in verdicts} == {True, False}
+        assert {n % 2 for *_, n in verdicts} == {0, 1}
 
     @pytest.mark.parametrize("run, leaves, children", [
         (lambda: stability_report(complete_graph(28)), 3, 53),

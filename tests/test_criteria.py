@@ -4,8 +4,10 @@ import tracemalloc
 
 import pytest
 
-from coverstab import graph_core
-from coverstab.graph_core import Graph, diameter, is_connected, has_twins
+from coverstab import criteria, graph_core
+from coverstab.census import enumerate_graphs
+from coverstab.graph_core import (Graph, bfs_distances, bits, diameter,
+                                  is_connected, has_twins)
 from coverstab.cover import stability_report
 from coverstab.criteria import (SrgParams, IntersectionArray, SoundnessError,
                                 CriterionVerdict, srg_params,
@@ -21,7 +23,30 @@ from coverstab.criteria import (SrgParams, IntersectionArray, SoundnessError,
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                 lex_product, lexcycle)
 
-from oracles import random_graph
+from oracles import paley, random_graph
+
+
+def distance_regular_corpus():
+    """Cycles C_n for 3 <= n <= 40, J(n,k) for n <= 9, Petersen and the
+    Paley graphs of prime order p <= 29."""
+    return ([cycle(n) for n in range(3, 41)]
+            + [johnson(n, k) for n in range(2, 10) for k in range(1, n)]
+            + [petersen()] + [paley(p) for p in (5, 13, 17, 29)])
+
+
+def growth_walk(g):
+    """The growth hypothesis that check_triangle_distance_growth reports
+    failed, found by walking every vertex with bfs_distances, or None."""
+    for x in range(g.n):
+        dist = bfs_distances(g, x)
+        if 2 not in dist:
+            return f"second shell of vertex {x} is empty"
+        for j in (2, 3):
+            if not all(any(dist[u] == j + 1 for u in bits(g.adj[v]))
+                       for v in range(g.n) if dist[v] == j):
+                return (f"a distance-{j} vertex from {x} has no neighbour "
+                        f"at distance {j + 1}")
+    return None
 
 
 
@@ -100,7 +125,6 @@ class TestIntersectionArray:
         assert intersection_array(non_dr) is None
 
     def test_per_pair_definition(self, graphs_by_order, rook_4x4, shrikhande):
-        from coverstab.graph_core import bfs_distances, bits
         corpus = graphs_by_order[6] + [
             petersen(), johnson(6, 2), johnson(6, 3), johnson(7, 3),
             cycle(8), cycle(9), rook_4x4, shrikhande,
@@ -145,6 +169,44 @@ class TestTriangleDistanceGrowth:
         assert v.applies and v.implied == "stable"
 
 
+class TestGrowthOnDistanceRegularGraphs:
+    # on a distance-regular graph the growth holds exactly when d >= 4, and
+    # a failing walk fails at vertex 0, so the checker walks at most vertex
+    # 0 once the array is known
+
+    def test_verdict_matches_a_walk_from_every_vertex(self, monkeypatch):
+        calls = []
+        real = graph_core.bfs_layers
+
+        def counting(h, x):
+            calls.append(x)
+            return real(h, x)
+
+        monkeypatch.setattr(criteria, "bfs_layers", counting)
+        diameters = set()
+        for g in distance_regular_corpus():
+            arr = intersection_array(g)
+            assert arr is not None
+            diameters.add(min(arr.d, 4))
+            calls.clear()
+            verdict = check_triangle_distance_growth(g)
+            assert calls == ([] if arr.d >= 4 else [0])
+            failed = [h for h in verdict.failed_hypotheses
+                      if h != "an edge lies on no triangle"]
+            walk = growth_walk(g)
+            assert failed == ([] if walk is None else [walk])
+            assert (walk is None) == (arr.d >= 4)
+        assert diameters == {1, 2, 3, 4}
+
+    def test_other_graphs_walk_as_before(self, graphs_by_order):
+        for g in graphs_by_order[7]:
+            if is_connected(g) and intersection_array(g) is None:
+                failed = [h for h in check_triangle_distance_growth(
+                    g).failed_hypotheses if h != "an edge lies on no triangle"]
+                walk = growth_walk(g)
+                assert failed == ([] if walk is None else [walk])
+
+
 class TestDistanceRegularGrowth:
     def test_petersen_diameter_too_small(self):
         v = check_distance_regular(petersen())
@@ -158,6 +220,17 @@ class TestDistanceRegularGrowth:
     def test_johnson_applies(self):
         v = check_distance_regular(johnson(9, 4))
         assert v.applies and v.implied == "stable"
+
+    def test_every_array_has_positive_b(self):
+        # b_j >= 1 for j < d: layer j + 1 is non-empty and each of its
+        # vertices has a neighbour in layer j, so the paper's b2, b3 >= 1
+        # hold whenever d >= 4
+        arrays = [arr for g in distance_regular_corpus()
+                  + [g for n in range(1, 9) for g in enumerate_graphs(n)]
+                  if (arr := intersection_array(g)) is not None]
+        assert len(arrays) > 60
+        assert all(len(arr.b) == arr.d and min(arr.b) >= 1 for arr in arrays)
+        assert any(arr.d >= 4 for arr in arrays)
 
 
 class TestCommonNeighborSeparation:
@@ -324,12 +397,13 @@ class TestSharedDistanceTable:
     @pytest.mark.parametrize("make", [
         petersen,
         lambda: random_graph(random.Random(40), 40, 0.5),
-    ], ids=["Petersen", "G(40,1/2)"])
+        lambda: cycle(601),
+    ], ids=["Petersen", "G(40,1/2)", "C601"])
     def test_one_bfs_per_vertex(self, make, monkeypatch):
         # no walk stores per-vertex layers; the growth checker stops at its
-        # first failing vertex, and the diameter-2 checker reads a
-        # distance-regular graph's diameter off the memoized intersection
-        # array, so only one of the array and the diameter walks every vertex
+        # first failing vertex, and both it and the diameter-2 checker read
+        # a distance-regular graph off the memoized intersection array, so
+        # only one of the array and the diameter walks every vertex
         g = make()
         assert is_connected(g)
         calls = []
@@ -347,10 +421,9 @@ class TestSharedDistanceTable:
         assert len(calls) <= g.n + 10
 
     def test_long_cycle_summary_stores_no_layer_table(self):
-        # C_601 is distance-regular of diameter 300, so both the growth
-        # walk and the intersection array visit every vertex; a table of
-        # every vertex's layers peaked at 15 MiB here, and the unstored
-        # walks peak at 0.1 MiB
+        # C_601 is distance-regular of diameter 300, so the intersection
+        # array visits every vertex; a table of every vertex's layers
+        # peaked at 15 MiB here, and the unstored walks peak at 0.1 MiB
         g = cycle(601)
         tracemalloc.start()
         try:

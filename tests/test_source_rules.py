@@ -201,10 +201,10 @@ def _lowest_bit_walks(nodes):
 
 
 def test_relabelling_reads_memoized_neighbour_lists():
-    # Graph.relabel and the leaf certificates both sum a bit table over
-    # graph_core.neighbour_lists, memoized by graph_core.memoized under its
-    # own name with no hand-written memo beside it, and neither walks a row
-    # bit by bit; _refine keeps its own walk
+    # Graph.relabel, the leaf certificates and the automorphism check all
+    # sum a bit table over graph_core.neighbour_lists, memoized by
+    # graph_core.memoized under its own name with no hand-written memo
+    # beside it, and none walks a row bit by bit; _refine keeps its own walk
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     graph_core_py, aut_py = PACKAGE / "graph_core.py", PACKAGE / "aut.py"
@@ -218,7 +218,8 @@ def test_relabelling_reads_memoized_neighbour_lists():
              and node.value in ("nbrs", "neighbour_lists")]
     assert not found
     for path, user in ((graph_core_py, "graph_core.Graph.relabel"),
-                       (aut_py, "aut._Search._cert")):
+                       (aut_py, "aut._Search._cert"),
+                       (aut_py, "aut._Search.add_automorphism")):
         body = _split(path, user)[0]
         assert body
         assert any(_name(node) == "neighbour_lists" for node in body)
@@ -297,9 +298,11 @@ def test_twin_quotient_is_an_induced_subgraph():
 
 
 def test_one_automorphism_check_on_the_support():
-    # canonical_form's seed check and the search's sibling check test an
-    # image tuple through one method, which reads only the rows of the
-    # vertices it moves; nothing in aut relabels a graph to compare it
+    # canonical_form's seed check and the search's sibling and leaf checks
+    # test an image tuple through one method, which reads only the rows of
+    # the vertices it moves and is the only one that records a generator;
+    # nothing in aut relabels a graph to compare it, and the search keeps
+    # no per-row or per-generator state beside its generators
     aut_py = PACKAGE / "aut.py"
     tree = ast.parse(aut_py.read_text(encoding="utf-8"), filename=str(aut_py))
     assert not [node.lineno for node in ast.walk(tree)
@@ -311,11 +314,19 @@ def test_one_automorphism_check_on_the_support():
                 if isinstance(side, ast.Subscript)
                 and _name(side.value) == "adj"}
     assert checkers == {"add_automorphism"}
-    for user in ("aut.canonical_form", "aut._Search.run"):
+    for user in ("aut.canonical_form", "aut._Search.run",
+                 "aut._Search._match"):
         body = _split(aut_py, user)[0]
         assert any(isinstance(node, ast.Call)
                    and _name(node.func) == "add_automorphism"
                    for node in body), user
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "add_generator"]
+    fields = {node.attr for node in _split(aut_py, "aut._Search.__init__")[0]
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)}
+    assert fields == {"g", "n", "gens", "zeta", "rho", "order", "jump_to"}
 
 
 def _owned_names(path):
