@@ -62,8 +62,7 @@ from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional
 
-from .graph_core import (Graph, SoundnessError, graph6_size_prefix,
-                         has_twins, induced_subgraph)
+from .graph_core import Graph, SoundnessError, has_twins, induced_subgraph
 from . import graph_core, perms
 
 
@@ -76,7 +75,8 @@ class CanonicalForm:
     It and the generators are image tuples (v -> images[v]).
     ``aut_order`` is the order of the group the generators generate (see
     the module docstring for twins). ``adj`` is the input graph's
-    adjacency, kept by reference.
+    adjacency, kept by reference: the graph itself would close the cycle
+    g._cache -> form -> g.
     ``discrete``: refinement alone made the initial cells discrete (one
     leaf, no twins).
     """
@@ -90,8 +90,8 @@ class CanonicalForm:
     @cached_property
     def canonical_graph6(self) -> str:
         """graph6 of the relabelled input, encoded when first read."""
-        return (graph6_size_prefix(len(self.adj)) + graph_core.graph6_payload(
-            self.adj, perms._inv(self.relabeling))).decode("ascii")
+        g = Graph._unchecked(self.adj).relabel(self.relabeling)
+        return graph_core.write_graph6(g)
 
 
 def _mask(vertices: Iterable[int]) -> int:

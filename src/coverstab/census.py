@@ -123,10 +123,10 @@ def _descendants(g: Graph, n: int) -> Iterator[Graph]:
         yield from _descendants(child, n)
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int, streamed: bool = False) -> None:
     if n < 1:
         raise ValueError(f"the order n must be at least 1, not {n}")
-    if n not in KNOWN_GRAPH_COUNTS:
+    if not streamed and n not in KNOWN_GRAPH_COUNTS:
         raise ValueError(
             f"built-in generation supports 1 <= n <= "
             f"{max(KNOWN_GRAPH_COUNTS)}; use a graph6 stream input "
@@ -209,6 +209,7 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
     threads = min(threads, os.cpu_count() or 1)
+    _check_order(n, streamed=source is not None)
     if source is not None:
         def checked(src):
             for g in stream_graph6(src):
@@ -218,7 +219,6 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
                 yield g
         roots, chunksize = checked(source), 64
     else:
-        _check_order(n)
         roots = enumerate_graphs(max(n - 2, 1) if threads > 1 else n)
         chunksize = 1
     totals, ntu = [0] * 4, []

@@ -306,16 +306,25 @@ ALL_CHECKERS = (
 
 
 def criteria_summary(g: Graph) -> list[CriterionVerdict]:
-    """Run every checker and verify any implied stability against the
-    direct decision, raising SoundnessError on disagreement."""
+    """Run every checker and verify any implied stability, and the
+    constraint lambda = mu > 0 on a non-trivially unstable strongly regular
+    graph, against the direct decision, raising SoundnessError on
+    disagreement."""
     verdicts = [check(g) for check in ALL_CHECKERS]
-    if any(v.applies and v.implied == "stable" for v in verdicts):
-        report = stability_report(g)
-        if not report.stable:
-            culprits = [v.criterion for v in verdicts
-                        if v.applies and v.implied == "stable"]
-            raise SoundnessError(
-                f"criteria {culprits} imply stability but "
-                f"|Aut(BX)| = {report.aut_bx_order} != "
-                f"2|Aut(X)| = {2 * report.aut_x_order}")
+    culprits = [v.criterion for v in verdicts
+                if v.applies and v.implied == "stable"]
+    p = srg_params(g)
+    if not culprits and p is None:
+        return verdicts
+    report = stability_report(g)
+    if culprits and not report.stable:
+        raise SoundnessError(
+            f"criteria {culprits} imply stability but "
+            f"|Aut(BX)| = {report.aut_bx_order} != "
+            f"2|Aut(X)| = {2 * report.aut_x_order}")
+    if (p is not None and report.classification == "nontrivially_unstable"
+            and not p.lambda_ == p.mu > 0):
+        raise SoundnessError(
+            f"srg{p.as_tuple()} is non-trivially unstable but "
+            "lambda = mu > 0 fails")
     return verdicts

@@ -8,6 +8,7 @@ vertices.
 
 from __future__ import annotations
 
+import base64
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -169,11 +170,17 @@ def neighbour_lists(g: Graph) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # graph6 interchange format
+#
+# The payload is the upper triangle column by column, (0,1), (0,2), (1,2),
+# (0,3), ..., six bits to a character from '?' (63) to '~' (126): base64
+# with another alphabet. As a '0'/'1' string s, column j is
+# s[j(j-1)/2 : j(j+1)/2] and holds the pairs (0,j) ... (j-1,j), that is
+# row j below j, lowest bit first.
 
-def _g6_validate_bytes(data: bytes) -> None:
-    for off, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise GraphParseError(f"character {b!r} outside graph6 range", off)
+_GRAPH6 = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6, _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -189,7 +196,10 @@ def parse_graph6(line: str) -> Graph:
     data = data.rstrip(b"\r\n")
     if not data:
         raise GraphParseError("empty graph6 record", 0)
-    _g6_validate_bytes(data)
+    bad = data.translate(None, _GRAPH6)
+    if bad:
+        raise GraphParseError(f"character {bad[0]!r} outside graph6 range",
+                              data.index(bad[0]))
     if data[0] != 126:
         n = data[0] - 63
         body = 1
@@ -210,57 +220,34 @@ def parse_graph6(line: str) -> Graph:
             len(data))
     if len(data) - body > need:
         raise GraphParseError("trailing garbage after graph6 payload", body + need)
+    # '?' is six zero bits: pad to whole 24-bit quanta, which base64 decodes
+    raw = base64.b64decode(
+        (data[body:] + b"?" * (-need % 4)).translate(_TO_BASE64))
+    s = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in s[nbits:]:
+        raise GraphParseError("nonzero padding bits", len(data) - 1)
     rows = [0] * n
-    bitpos = 0
-    i, j = 0, 1  # upper triangle, column-major: (0,1),(0,2),(1,2),(0,3),...
-    for off in range(body, len(data)):
-        group = data[off] - 63
-        for k in range(5, -1, -1):
-            if bitpos == nbits:
-                if (group >> k) & 1:
-                    raise GraphParseError("nonzero padding bits", off)
-                continue
-            if (group >> k) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bitpos += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    for j in range(1, n):
+        # row j below j, then the upper triangle it fills in
+        rows[j] = low = int(s[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in bits(low):
+            rows[i] |= 1 << j
     return Graph._unchecked(rows)
-
-
-def graph6_size_prefix(n: int) -> bytes:
-    """The graph6 encoding of the order n."""
-    if n < 63:
-        return bytes([n + 63])
-    return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-
-
-def graph6_payload(adj: Sequence[int], order: Sequence[int]) -> bytes:
-    """graph6 payload bytes of the graph relabeled so that vertex order[i]
-    becomes vertex i."""
-    out = bytearray()
-    buf = 0
-    filled = 0
-    for j in range(1, len(order)):
-        row = adj[order[j]]
-        for i in range(j):
-            buf = (buf << 1) | ((row >> order[i]) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(buf + 63)
-                buf = 0
-                filled = 0
-    if filled:
-        out.append((buf << (6 - filled)) + 63)
-    return bytes(out)
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a Graph as a canonical header-free graph6 record."""
-    return (graph6_size_prefix(g.n)
-            + graph6_payload(g.adj, range(g.n))).decode("ascii")
+    n = g.n
+    size = bytes([n + 63]) if n < 63 else bytes(
+        [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    # column j is row j below j, lowest bit first: bin() reversed, up to
+    # the marker bit j
+    s = "".join(bin(row & ((1 << j) - 1) | (1 << j))[:2:-1]
+                for j, row in enumerate(g.adj))
+    pad = -len(s) % 24
+    raw = (int(s or "0", 2) << pad).to_bytes((len(s) + pad) // 8, "big")
+    payload = base64.b64encode(raw).translate(_FROM_BASE64)
+    return (size + payload[:(len(s) + 5) // 6]).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

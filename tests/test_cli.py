@@ -314,6 +314,19 @@ class TestCensus:
         assert f"must be at least 1, not {n}" in err
         assert "--stream" not in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_streamed_order_below_one_is_a_usage_error(self, capsys,
+                                                       tmp_path, n):
+        # a stream supplies the graphs, not the order, so an empty stream
+        # must not turn a meaningless order into a row of zeros
+        stream = tmp_path / "empty.g6"
+        stream.write_text("")
+        code, out, err = invoke(capsys, "census", "--n", n,
+                                "--stream", str(stream), "--csv")
+        assert code == EXIT_USAGE
+        assert not out
+        assert f"must be at least 1, not {n}" in err
+
     def test_unwritable_emit_path_fails_before_the_census(
             self, capsys, monkeypatch, tmp_path):
         # The output file is opened before any graph is generated, so a
@@ -396,6 +409,13 @@ FORCED_FAILURES = {
         census.stability_report = lambda g: dataclasses.replace(
             real(g), stable=False, classification="trivially_unstable")
         """, ["census", "--n", "4"]),
+    "non-trivially unstable srg without lambda = mu > 0": ("""
+        # K4 x K4 is srg(16, 6, 2, 2) and non-trivially unstable; with k <= mu
+        # and lambda != mu no stability criterion applies to it first
+        real = criteria.srg_params
+        criteria.srg_params = lambda g: real(g) and dataclasses.replace(
+            real(g), k=real(g).mu, lambda_=real(g).mu + 1)
+        """, ["analyze", "--criteria", "O~`HW}GPHDaNaGPCcPWaN"]),
     "generated graph count off the published one": ("""
         census.KNOWN_GRAPH_COUNTS[4] = 12
         """, ["census", "--n", "4"]),
@@ -413,7 +433,7 @@ def test_soundness_checks_survive_optimize(case):
     script = textwrap.dedent("""
         import dataclasses
         import sys
-        from coverstab import aut, census, cli, cover, perms
+        from coverstab import aut, census, cli, cover, criteria, perms
 
         class Order:
             def __init__(self, value):

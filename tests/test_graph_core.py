@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,12 +71,16 @@ class TestGraph6:
 
     def test_matches_networkx(self):
         # networkx's graph6 codec is independent of the package; orders 63
-        # and up take the four-byte size prefix
+        # and up take the four-byte size prefix; orders 258 and 1000 give
+        # long sparse and dense payloads
         nx = pytest.importorskip("networkx")
         rng = random.Random(17)
-        orders = list(range(0, 13)) * 5 + [62, 63, 64, 100, 300]
-        for n in orders:
-            g = random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
+        cases = [(n, rng.choice([0.1, 0.5, 0.9]))
+                 for n in list(range(0, 13)) * 5 + [100, 300]]
+        cases += [(n, p) for n in (0, 1, 2, 62, 63, 64, 258, 1000)
+                  for p in (0.02, 0.98)]
+        for n, p in cases:
+            g = random_graph(rng, n, p)
             h = nx.Graph()
             h.add_nodes_from(range(n))
             h.add_edges_from(g.edges())
@@ -86,6 +91,23 @@ class TestGraph6:
             assert {frozenset(e) for e in back.edges()} == {
                 frozenset(e) for e in g.edges()}
             assert parse_graph6(theirs.strip()) == g
+
+    def test_large_sparse_graph_memory(self):
+        # C_4000 has an 8-million-bit payload; the codec's transient
+        # '0'/'1' string costs about 1-2 bytes per bit, never a Python
+        # object per bit
+        g = cycle(4000)
+        line = write_graph6(g)
+        peaks = []
+        for step in (lambda: write_graph6(g), lambda: parse_graph6(line)):
+            tracemalloc.start()
+            try:
+                result = step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert result == g
+        assert max(peaks) <= 24 * 2 ** 20, peaks
 
     def test_errors_carry_offsets(self):
         with pytest.raises(GraphParseError):

@@ -122,12 +122,37 @@ def test_orbits_only_from_the_search_union_find():
 
 def test_graph6_encoded_only_by_its_accessor():
     # the IR search compares leaves by their relabelled rows; graph6 is
-    # encoded only when a caller reads CanonicalForm.canonical_graph6
+    # encoded only when a caller reads CanonicalForm.canonical_graph6,
+    # through the one writer, with no graph6 helper of aut's own
     aut_py = PACKAGE / "aut.py"
-    names = {"graph6_payload"}
+    names = {"write_graph6"}
     assert _references(aut_py, names, "")  # the accessor itself
     assert not _references(aut_py, names,
                            "aut.CanonicalForm.canonical_graph6")
+    tree = ast.parse(aut_py.read_text(encoding="utf-8"), filename=str(aut_py))
+    assert not [node.lineno for node in ast.walk(tree)
+                if (_name(node) or getattr(node, "name", None) or ""
+                    ).startswith("graph6_")]
+
+
+def test_graph6_alphabet_in_one_place():
+    # graph6 is base64 with another alphabet: graph_core defines the
+    # translation tables once, and only parse_graph6 and write_graph6 use
+    # them and the base64 codec
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    names = {"base64", "b64encode", "b64decode", "maketrans", "_GRAPH6",
+             "_BASE64", "_TO_BASE64", "_FROM_BASE64"}
+    users = {owner for path in modules for owner, node in _owned_names(path)
+             if _name(node) in names}
+    assert users == {"graph_core", "graph_core.parse_graph6",
+                     "graph_core.write_graph6"}
+    # at module level, only the import and the tables' definitions
+    tree = ast.parse((PACKAGE / "graph_core.py").read_text(encoding="utf-8"))
+    assert {type(node) for node in tree.body
+            if not isinstance(node, ast.FunctionDef)
+            and any(_name(inner) in names for inner in ast.walk(node))
+            } == {ast.Import, ast.Assign}
 
 
 @pytest.mark.parametrize("names, owner", [
@@ -305,8 +330,13 @@ def test_one_automorphism_check_on_the_support():
     # no per-row or per-generator state beside its generators
     aut_py = PACKAGE / "aut.py"
     tree = ast.parse(aut_py.read_text(encoding="utf-8"), filename=str(aut_py))
-    assert not [node.lineno for node in ast.walk(tree)
-                if _name(node) == "relabel"]
+    accessor = "aut.CanonicalForm.canonical_graph6"
+    inside, outside = _split(aut_py, accessor)
+    assert not [node.lineno for node in outside if _name(node) == "relabel"]
+    # the one relabelling encodes the canonical form and compares nothing
+    assert any(_name(node) == "relabel" for node in inside)
+    assert not [node.lineno for node in inside
+                if isinstance(node, ast.Compare)]
     checkers = {node.name for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
                 for inner in ast.walk(node) if isinstance(inner, ast.Compare)
