@@ -94,11 +94,6 @@ class CanonicalForm:
         return graph_core.write_graph6(g)
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    """The bitset of a set of vertices."""
-    return sum(1 << v for v in vertices)
-
-
 def _checked_cells(cells: Iterable[Iterable[int]], n: int) -> tuple[tuple, ...]:
     """cells as a tuple of tuples, or ValueError unless they are non-empty
     and together hold each of 0..n-1 exactly once."""
@@ -475,7 +470,7 @@ def canonical_form(g: Graph,
     search = _Search(q)
     for seed in () if levels else seeds:
         if not (sorted(seed) == list(range(n))
-                and all(_mask(seed[v] for v in c) == _mask(c) for c in cells)
+                and all({seed[v] for v in c} == set(c) for c in cells)
                 and search.add_automorphism(seed)):
             raise SoundnessError("seed not a cell-preserving automorphism")
     search.run(cells)

@@ -104,15 +104,17 @@ def _cmd_census(args) -> int:
     if (args.stream and args.emit_ntu and os.path.exists(args.emit_ntu)
             and os.path.samefile(args.stream, args.emit_ntu)):
         raise ValueError(f"--emit-ntu {args.emit_ntu} is the --stream file, "
-                         "which opening it for writing would empty")
+                         "which writing the ntu graphs would empty")
     with ExitStack() as stack:
         # Both files are opened before the census runs, so a bad path
-        # fails at once. latin-1 decodes every byte, so parse_graph6
-        # reports a non-ASCII byte as malformed input with its line number.
+        # fails at once; the output is opened for appending and emptied
+        # only once the row is in hand, so a refused census leaves it as
+        # it was. latin-1 decodes every byte, so parse_graph6 reports a
+        # non-ASCII byte as malformed input with its line number.
         source = (stack.enter_context(
             open(args.stream, "r", encoding="latin-1"))
             if args.stream else None)
-        out = (stack.enter_context(open(args.emit_ntu, "w", encoding="ascii"))
+        out = (stack.enter_context(open(args.emit_ntu, "a", encoding="ascii"))
                if args.emit_ntu else None)
         row = census_row(args.n, source=source, threads=args.threads)
         if args.csv:
@@ -123,6 +125,8 @@ def _cmd_census(args) -> int:
             print(f"{row.n:>4} {row.count_cnbtf:>10} {row.count_ntu:>8} "
                   f"{row.count_xab:>8}")
         if out is not None:
+            if os.path.isfile(args.emit_ntu):  # not a device or a pipe
+                out.truncate(0)
             out.writelines(line + "\n" for line in row.ntu)
             print(f"wrote {len(row.ntu)} graphs to {args.emit_ntu}",
                   file=sys.stderr)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from math import factorial
 from typing import Sequence
 
@@ -50,19 +51,6 @@ from .aut import CanonicalForm, canonical_form
 REASON_DISCONNECTED = "disconnected"
 REASON_BIPARTITE = "bipartite_with_nontrivial_aut"
 REASON_TWINS = "has_twins"
-
-
-_DIGITS = 600  # below the least digit limit str(int) can be set to
-
-
-def _decimal(x: int) -> str:
-    """x >= 0 in decimal at any length; str(x) refuses more digits than
-    sys.get_int_max_str_digits(), which |Aut(B E_1200)| = 2400! exceeds."""
-    chunks = []
-    while x >= 10 ** _DIGITS:
-        x, low = divmod(x, 10 ** _DIGITS)
-        chunks.append(str(low).zfill(_DIGITS))
-    return str(x) + "".join(reversed(chunks))
 
 
 @dataclass(frozen=True)
@@ -78,13 +66,15 @@ class StabilityReport:
     reasons: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        """JSON-friendly form; group orders as decimal strings."""
+        """JSON-friendly form; group orders as exact decimal strings. Decimal
+        writes any int exactly in any context, past str(int)'s digit limit,
+        which |Aut(B E_1200)| = 2400! exceeds."""
         return {
             "n": self.n,
-            "aut_x_order": _decimal(self.aut_x_order),
-            "aut_bx_order": _decimal(self.aut_bx_order),
+            "aut_x_order": str(Decimal(self.aut_x_order)),
+            "aut_bx_order": str(Decimal(self.aut_bx_order)),
             "stable": self.stable,
-            "index": _decimal(self.instability_index),
+            "index": str(Decimal(self.instability_index)),
             "classification": self.classification,
             "reasons": list(self.reasons),
         }

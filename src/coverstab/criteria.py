@@ -10,7 +10,7 @@ disagreement, which always signals an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .graph_core import (Graph, SoundnessError, bfs_layers, bits, diameter,
@@ -55,17 +55,10 @@ class CriterionVerdict:
     detail: Optional[str] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "criterion": self.criterion,
-            "applies": self.applies,
-            "failed_hypotheses": list(self.failed_hypotheses),
-            "implied": self.implied,
-        }
-        if self.constraint is not None:
-            out["constraint"] = self.constraint
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
+        """The fields in declaration order, tuples as lists, None left out."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v
+                for name, v in values if v is not None}
 
 
 def _verdict(crit: str, failed: list[str],

@@ -185,14 +185,11 @@ _FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
 
 def parse_graph6(line: str) -> Graph:
     """Decode one header-free graph6 record into a Graph."""
-    if isinstance(line, bytes):
-        data = line
-    else:
-        try:
-            data = line.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise GraphParseError(
-                f"non-ASCII character {line[exc.start]!r}", exc.start) from None
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise GraphParseError(
+            f"non-ASCII character {line[exc.start]!r}", exc.start) from None
     data = data.rstrip(b"\r\n")
     if not data:
         raise GraphParseError("empty graph6 record", 0)

@@ -1,3 +1,4 @@
+import decimal
 import gc
 import io
 import json
@@ -67,15 +68,30 @@ class TestAnalyze:
         assert ("disconnected" in payload["reasons"]) == (g6 != "@")
 
     def test_large_edgeless_graph(self, capsys):
-        # |Aut(BX)| = 2400! has more digits than str(int) prints by default
-        code, out, err = invoke(capsys, "analyze", write_graph6(Graph(1200)))
-        assert code == EXIT_OK and "Traceback" not in err
-        payload = json.loads(out)
+        # |Aut(BX)| = 2400! has more digits than str(int) prints by default;
+        # the second run is under the lowest digit limit Python accepts and
+        # in a one-digit decimal context that traps any rounding
         limit = sys.get_int_max_str_digits()
+        payloads = []
+        for constrained in (False, True):
+            with decimal.localcontext() as ctx:
+                if constrained:
+                    sys.set_int_max_str_digits(640)
+                    ctx.prec = 1
+                    ctx.traps[decimal.Inexact] = True
+                    ctx.traps[decimal.Rounded] = True
+                try:
+                    code, out, err = invoke(capsys, "analyze",
+                                            write_graph6(Graph(1200)))
+                finally:
+                    sys.set_int_max_str_digits(limit)
+            assert code == EXIT_OK and "Traceback" not in err
+            payloads.append(json.loads(out))
         sys.set_int_max_str_digits(0)
         try:
-            assert payload["aut_x_order"] == str(math.factorial(1200))
-            assert payload["aut_bx_order"] == str(math.factorial(2400))
+            for payload in payloads:
+                assert payload["aut_x_order"] == str(math.factorial(1200))
+                assert payload["aut_bx_order"] == str(math.factorial(2400))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -345,6 +361,44 @@ class TestCensus:
         assert code == EXIT_USAGE
         assert not out and "ntu.g6" in err
         assert not calls
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--n", "0", "--stream", "empty.g6"], EXIT_USAGE),
+        (["--n", "12"], EXIT_USAGE),
+        (["--n", "6", "--threads", "0"], EXIT_USAGE),
+        (["--n", "5", "--stream", "bad.g6"], EXIT_PARSE),
+    ])
+    def test_refused_census_keeps_the_emit_file(self, capsys, monkeypatch,
+                                                tmp_path, argv, code):
+        # the output is emptied only once the row is in hand
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.g6").write_text("")
+        (tmp_path / "bad.g6").write_text("D??\nZZZZZZ$\n")
+        out_file = tmp_path / "keep.g6"
+        out_file.write_bytes(b"Bw\n")
+        got, out, _ = invoke(capsys, "census", *argv,
+                             "--emit-ntu", str(out_file))
+        assert got == code
+        assert out_file.read_bytes() == b"Bw\n"
+
+    def test_emit_replaces_a_longer_file(self, capsys, tmp_path):
+        out_file = tmp_path / "ntu.g6"
+        out_file.write_text("Bw\n" * 100)
+        code, out, _ = invoke(capsys, "census", "--n", "6", "--csv",
+                              "--emit-ntu", str(out_file))
+        assert code == EXIT_OK
+        ntu = int(out.splitlines()[1].split(",")[2])
+        emitted = out_file.read_text().splitlines()
+        assert len(emitted) == ntu and "Bw" not in emitted
+        from coverstab.cover import stability_report
+        assert all(stability_report(parse_graph6(line)).classification
+                   == "nontrivially_unstable" for line in emitted)
+
+    def test_emit_to_a_device(self, capsys):
+        # a device has nothing to empty and refuses to be truncated
+        code, _, err = invoke(capsys, "census", "--n", "5",
+                              "--emit-ntu", os.devnull)
+        assert code == EXIT_OK and "wrote 1 graphs" in err
 
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_thread_count_below_one_rejected(self, capsys, threads):

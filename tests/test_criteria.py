@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import sys
 import tracemalloc
@@ -356,6 +358,31 @@ class TestCriteriaSummary:
         verdicts = criteria_summary(cycle(6))
         assert not any(v.applies and v.implied == "stable" for v in verdicts)
         assert stability_report(cycle(6)).classification == "trivially_unstable"
+
+    @pytest.mark.parametrize("criterion, literal", [
+        ("srg-equal-counts-necessary",
+         '{"criterion": "srg-equal-counts-necessary", "applies": true, '
+         '"failed_hypotheses": [], "implied": "constraint", '
+         '"constraint": "nontrivially unstable => lambda = mu > 0", '
+         '"detail": "srg(10, 3, 0, 1)"}'),
+        ("srg-triangle-free",
+         '{"criterion": "srg-triangle-free", "applies": true, '
+         '"failed_hypotheses": [], "implied": "stable", '
+         '"detail": "srg(10, 3, 0, 1)"}'),
+        ("common-neighbor-separation",
+         '{"criterion": "common-neighbor-separation", "applies": false, '
+         '"failed_hypotheses": ["an edge lies on no triangle"], '
+         '"implied": "none"}'),
+    ])
+    def test_verdict_json_shape(self, criterion, literal):
+        # the non-None fields in declaration order, tuples as lists
+        [v] = [v for v in criteria_summary(petersen())
+               if v.criterion == criterion]
+        out = v.as_dict()
+        assert list(out) == [f.name for f in dataclasses.fields(v)
+                             if getattr(v, f.name) is not None]
+        assert type(out["failed_hypotheses"]) is list
+        assert json.dumps(out) == literal
 
     def test_soundness_error_on_forced_disagreement(self, monkeypatch):
         import coverstab.criteria as criteria_mod

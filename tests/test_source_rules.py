@@ -216,6 +216,31 @@ def test_cells_enter_the_search_only_checked():
             < everywhere)
 
 
+def test_no_private_copies_of_the_standard_library():
+    # orders are written by decimal, the verdict JSON comes from the
+    # dataclass fields, seed cells are compared as sets, and graph6 is
+    # parsed from str only
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [ref for path in modules
+             for name in ("_decimal", "_DIGITS", "_mask")
+             for ref in _defines_or_names(path, name)]
+    assert not found
+    criteria_py = PACKAGE / "criteria.py"
+    inside = _split(criteria_py, "criteria.CriterionVerdict.as_dict")[0]
+    assert inside
+    fields = {"criterion", "applies", "failed_hypotheses", "implied",
+              "constraint", "detail"}
+    assert not [node.lineno for node in inside
+                if isinstance(node, ast.Constant) and node.value in fields]
+    inside = _split(PACKAGE / "graph_core.py", "graph_core.parse_graph6")[0]
+    assert inside
+    assert not [node.lineno for node in inside
+                if isinstance(node, ast.Call)
+                and _name(node.func) == "isinstance"
+                and "bytes" in {_name(n) for n in ast.walk(node)}]
+
+
 def _lowest_bit_walks(nodes):
     """Lines among nodes that isolate a lowest set bit, as x & -x."""
     return [node.lineno for node in nodes
