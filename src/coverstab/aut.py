@@ -16,7 +16,9 @@ generators found since it last looked, and tries the least vertex of
 each orbit. Skipped branches are provably equivalent to explored ones.
 That union-find (``_merge``, least points as roots) is the package's one
 orbit routine: ``orbit_roots`` runs it on all points for
-``vertex_orbits`` and for canonical-augmentation generation.
+``vertex_orbits``, whose least points the criteria walk from
+(``orbit_representatives``, memoized), and for canonical-augmentation
+generation.
 
 The group order is read off the search tree, as nauty does: when a node on
 the first path has dealt with all its children, the automorphisms found that
@@ -62,7 +64,8 @@ from functools import cached_property
 from math import factorial
 from typing import Iterable, Optional
 
-from .graph_core import Graph, SoundnessError, has_twins, induced_subgraph
+from .graph_core import (Graph, SoundnessError, has_twins, induced_subgraph,
+                         memoized)
 from . import graph_core, perms
 
 
@@ -532,6 +535,13 @@ def vertex_orbits(g: Graph) -> list[frozenset]:
                                          g.n)):
         orbits.setdefault(root, []).append(v)
     return [frozenset(orbit) for orbit in orbits.values()]
+
+
+@memoized
+def orbit_representatives(g: Graph) -> tuple[int, ...]:
+    """The least vertex of each Aut(g) orbit, ascending: a walk of a fact
+    constant on orbits need start from these only."""
+    return tuple(min(orbit) for orbit in vertex_orbits(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

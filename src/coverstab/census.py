@@ -66,11 +66,10 @@ def _subset_orbit_reps(m: int, gens) -> list[int]:
 
 def _deletion_candidates(rows: list[int]) -> list[int]:
     """The vertices of largest key (degree, sorted neighbour degrees) in the
-    graph with adjacency rows, or [] when the last vertex is not one."""
+    graph with adjacency rows, given that its last vertex has the largest
+    degree; [] when the last vertex is not among them."""
     m = len(rows) - 1
     deg = [row.bit_count() for row in rows]
-    if max(deg) > deg[m]:
-        return []
     key = sorted(deg[u] for u in bits(rows[m]))
     candidates = [m]
     for v in range(m):
@@ -95,9 +94,18 @@ def _augment(parent: Graph) -> Iterator[Graph]:
     position; the child is accepted when m lies in that vertex's
     Aut(child) orbit. Keys and canonical positions are isomorphism
     invariants, so each class is accepted from exactly one parent class.
+    A mask that leaves m below the largest degree is skipped unbuilt: its
+    popcount, m's degree, falls below the parent's top degree, or equals
+    it and the mask raises a vertex of top degree above it.
     """
     m = parent.n
+    deg = [row.bit_count() for row in parent.adj]
+    top = max(deg, default=0)
+    tops = sum(1 << v for v in range(m) if deg[v] == top)
     for mask in _subset_orbit_reps(m, canonical_form(parent).aut_generators):
+        k = mask.bit_count()
+        if k < top or (k == top and mask & tops):
+            continue
         rows = list(parent.adj) + [mask]
         for v in bits(mask):
             rows[v] |= 1 << m

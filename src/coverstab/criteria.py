@@ -6,6 +6,12 @@ implies; none ever claims instability, since the criteria are sufficient
 conditions only. ``criteria_summary`` cross-checks any "stable" implication
 against the direct order computation and raises ``SoundnessError`` on
 disagreement, which always signals an implementation bug.
+
+The walks from every vertex (the intersection array, the growth walk off a
+graph that is not distance-regular, the diameter, the common-neighbour
+pairs) start only from the least vertex of each Aut(X) orbit, read off
+``aut.orbit_representatives``: what they count is constant on an orbit, so
+the least failing vertex is the least of its orbit.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Optional
 from .graph_core import (Graph, SoundnessError, bfs_layers, bits, diameter,
                          is_connected, is_bipartite, has_twins, memoized,
                          triangle_flags)
+from .aut import orbit_representatives
 from .cover import stability_report
 
 
@@ -105,7 +112,7 @@ def intersection_array(g: Graph) -> Optional[IntersectionArray]:
         return None
     adj = g.adj
     found = None
-    for x in range(g.n):
+    for x in orbit_representatives(g):
         shells = (0,) + bfs_layers(g, x) + (0,)
         b, c = [], []
         for j in range(1, len(shells) - 1):
@@ -146,7 +153,8 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
     if not triangle_flags(g)[0]:
         failed.append("an edge lies on no triangle")
     adj, arr = g.adj, intersection_array(g)
-    for x in range(g.n) if arr is None else () if arr.d >= 4 else (0,):
+    for x in (orbit_representatives(g) if arr is None
+              else () if arr.d >= 4 else (0,)):
         shell2, shell3, shell4 = (bfs_layers(g, x) + (0, 0, 0))[2:5]
         if not shell2:
             failed.append(f"second shell of vertex {x} is empty")
@@ -198,12 +206,12 @@ def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
     adj = g.adj
     adjacent_counts = set()
     distance2_counts = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
+    for u in orbit_representatives(g):  # every pair has an image (u, v)
+        for v in range(g.n):
             common = (adj[u] & adj[v]).bit_count()
             if (adj[u] >> v) & 1:
                 adjacent_counts.add(common)
-            elif common:
+            elif common and v != u:
                 distance2_counts.add(common)
     overlap = adjacent_counts & distance2_counts
     if overlap:
@@ -249,7 +257,8 @@ def check_triangle_free_diam2(g: Graph) -> CriterionVerdict:
         if is_bipartite(g):
             failed.append("bipartite")
         arr = intersection_array(g)
-        diam = diameter(g) if arr is None else arr.d
+        diam = (diameter(g, orbit_representatives(g)) if arr is None
+                else arr.d)
         if diam != 2:
             failed.append(f"diameter {diam} != 2")
     if has_twins(g):

@@ -317,12 +317,17 @@ def has_twins(g: Graph) -> bool:
     return len(set(g.adj)) < g.n
 
 
-def diameter(g: Graph) -> Optional[int]:
+def diameter(g: Graph, sources: Optional[Iterable[int]] = None
+             ) -> Optional[int]:
     """Max eccentricity, or None (infinite) when disconnected; each
-    vertex's layers are dropped once counted."""
+    vertex's layers are dropped once counted. ``sources``, the vertices to
+    walk from (every vertex by default), must meet every orbit of a group
+    of automorphisms, such as ``aut.orbit_representatives``."""
     if not is_connected(g):
         return None
-    return max((len(bfs_layers(g, x)) - 1 for x in range(g.n)), default=0)
+    if sources is None:
+        sources = range(g.n)
+    return max((len(bfs_layers(g, x)) - 1 for x in sources), default=0)
 
 
 @memoized

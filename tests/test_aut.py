@@ -12,7 +12,8 @@ from coverstab.graph_core import (Graph, SoundnessError, is_bipartite,
                                   is_connected, parse_graph6)
 from coverstab.perms import group_from_generators
 from coverstab.aut import (canonical_form, automorphism_group,
-                           are_isomorphic, orbit_roots, vertex_orbits)
+                           are_isomorphic, orbit_representatives,
+                           orbit_roots, vertex_orbits)
 from coverstab.census import enumerate_graphs
 from coverstab.cover import double_cover, stability_report
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
@@ -266,6 +267,18 @@ class TestAutomorphismGroup:
             expected = {frozenset(p[x] for p in auts) for x in range(g.n)}
             assert sorted(map(sorted, vertex_orbits(g))) == sorted(
                 map(sorted, expected))
+
+    def test_orbit_representatives_are_least_per_orbit(self, graphs_by_order):
+        # the criteria walk from these: the least vertex of each orbit of
+        # the brute-forced automorphisms, ascending, memoized per graph
+        assert orbit_representatives(petersen()) == (0,)
+        assert orbit_representatives(Graph(4, [(1, 0), (1, 2), (1, 3)])) \
+            == (0, 1)
+        for g in graphs_by_order[5] + graphs_by_order[6][::7]:
+            auts = brute_force_automorphisms(g)
+            expected = sorted({min(p[x] for p in auts) for x in range(g.n)})
+            assert orbit_representatives(g) == tuple(expected)
+            assert g._cache["orbit_representatives"] == tuple(expected)
 
 
 class TestCanonicalForm:

@@ -60,6 +60,31 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_graphs(7)) == KNOWN_GRAPH_COUNTS[7]
         assert len(calls) <= 1000
 
+    def test_degree_prefilter_keeps_the_new_vertex_on_top(self, monkeypatch):
+        # _augment skips a mask unbuilt when an old vertex's degree would
+        # exceed the new vertex's, so every child that reaches the key test
+        # has its new vertex at the largest degree, and the counts hold;
+        # from order 6 to 7 it builds 1401 of the 5096 masks tried
+        tried, built = [], []
+        real_masks, real_keys = (census._subset_orbit_reps,
+                                 census._deletion_candidates)
+
+        def masks(m, gens):
+            tried.extend([m + 1] * len(found := real_masks(m, gens)))
+            return found
+
+        def checked(rows):
+            degrees = [row.bit_count() for row in rows]
+            assert max(degrees) == degrees[-1]
+            built.append(len(rows))
+            return real_keys(rows)
+
+        monkeypatch.setattr(census, "_subset_orbit_reps", masks)
+        monkeypatch.setattr(census, "_deletion_candidates", checked)
+        for n in range(1, 8):
+            assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_GRAPH_COUNTS[n]
+        assert 2 * built.count(7) < tried.count(7)
+
     def test_subset_orbit_reps_match_naive_closure(self):
         # the least mask of each orbit of the closure acting on subsets,
         # in ascending order, for seeded generator sets of 0-3 elements

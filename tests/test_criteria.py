@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from coverstab import criteria, graph_core
+from coverstab.aut import orbit_representatives, vertex_orbits
 from coverstab.census import enumerate_graphs
 from coverstab.graph_core import (Graph, bfs_distances, bits, diameter,
                                   is_connected, has_twins)
@@ -25,7 +26,7 @@ from coverstab.criteria import (SrgParams, IntersectionArray, SoundnessError,
 from coverstab.families import (complete_graph, cycle, petersen, johnson,
                                 lex_product, lexcycle)
 
-from oracles import paley, random_graph
+from oracles import cube, paley, random_graph
 
 
 def distance_regular_corpus():
@@ -420,17 +421,46 @@ def test_unstable_srgs_have_equal_positive_counts(rook_4x4, shrikhande):
     assert stability_report(shrikhande).instability_index == 60
 
 
+def path(n):
+    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+class TestOrbitWalk:
+    # every all-sources walk starts from the least vertex of each orbit;
+    # walking every vertex instead must give the same summary
+
+    @staticmethod
+    def summary(g):
+        fresh = Graph.from_rows(g.adj)  # no memoized criteria facts
+        return json.dumps([v.as_dict() for v in criteria_summary(fresh)])
+
+    def test_orbit_walk_equals_full_walk(self, graphs_by_order, monkeypatch):
+        pool = [g for n in range(1, 8) for g in graphs_by_order[n]]
+        pool += distance_regular_corpus()
+        pool += [lex_product(cycle(m), cube(3))  # C_m[Q3]
+                 for m in (3, 4, 5, 8)]
+        pool += [path(n) for n in (2, 3, 4, 9, 40)]
+        pool += [random_graph(random.Random(40), 40, 0.5)]
+        assert sum(len(orbit_representatives(g)) < g.n for g in pool) > 100
+        by_orbit = [self.summary(g) for g in pool]
+        monkeypatch.setattr(criteria, "orbit_representatives",
+                            lambda g: range(g.n))
+        assert [self.summary(g) for g in pool] == by_orbit
+
+
 class TestSharedDistanceTable:
-    @pytest.mark.parametrize("make", [
-        petersen,
-        lambda: random_graph(random.Random(40), 40, 0.5),
-        lambda: cycle(601),
+    @pytest.mark.parametrize("make, orbits", [
+        (petersen, 1),
+        (lambda: random_graph(random.Random(40), 40, 0.5), 40),
+        (lambda: cycle(601), 1),
     ], ids=["Petersen", "G(40,1/2)", "C601"])
-    def test_one_bfs_per_vertex(self, make, monkeypatch):
+    def test_one_bfs_per_vertex(self, make, orbits, monkeypatch):
         # no walk stores per-vertex layers; the growth checker stops at its
         # first failing vertex, and both it and the diameter-2 checker read
         # a distance-regular graph off the memoized intersection array, so
-        # only one of the array and the diameter walks every vertex
+        # only one of the array and the diameter walks, from one vertex per
+        # orbit
+        assert len(vertex_orbits(make())) == orbits
         g = make()
         assert is_connected(g)
         calls = []
@@ -445,7 +475,7 @@ class TestSharedDistanceTable:
                     and getattr(module, "bfs_layers", None) is real):
                 monkeypatch.setattr(module, "bfs_layers", counting)
         criteria_summary(g)
-        assert len(calls) <= g.n + 10
+        assert len(calls) <= orbits + 10
 
     def test_long_cycle_summary_stores_no_layer_table(self):
         # C_601 is distance-regular of diameter 300, so the intersection

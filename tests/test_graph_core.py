@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverstab import cover, criteria, graph_core
+from coverstab import aut, cover, criteria, graph_core
 from coverstab.graph_core import (Graph, GraphParseError, parse_graph6,
                                   write_graph6, bfs_layers,
                                   structural_profile, induced_subgraph,
@@ -12,7 +12,7 @@ from coverstab.graph_core import (Graph, GraphParseError, parse_graph6,
                                   is_bipartite, bfs_distances,
                                   neighbour_lists)
 from coverstab.families import complete_graph, cycle, petersen, johnson
-from coverstab.aut import vertex_orbits
+from coverstab.aut import orbit_representatives, vertex_orbits
 from coverstab.criteria import (check_triangle_free_diam2, criteria_summary,
                                 intersection_array)
 
@@ -217,16 +217,18 @@ class TestDistancePartition:
 
     def test_diameter_stores_no_new_layer_tables(self):
         # a path's per-vertex layers hold Θ(n³) bits, so no distance walk
-        # stores them: the cache keeps memoized facts, and its one distance
-        # table is the layers around the single component's root
+        # stores them: the cache keeps memoized facts (the orbit
+        # representatives among them) and the canonical form they are read
+        # from, and its one distance table is the layers around the single
+        # component's root
         g = Graph(300, [(v, v + 1) for v in range(299)])
         assert is_connected(g)
         assert diameter(g) == 299
         criteria_summary(g)
-        memoized = {name for module in (graph_core, cover, criteria)
+        memoized = {name for module in (graph_core, aut, cover, criteria)
                     for name, fn in vars(module).items()
                     if hasattr(fn, "__wrapped__")}
-        assert set(g._cache) <= memoized
+        assert set(g._cache) <= memoized | {"canon"}
         assert g._cache["component_layers"] == (bfs_layers(g, 0),)
 
     def test_diameter_reads_memoized_tables(self, monkeypatch):
@@ -245,6 +247,20 @@ class TestDistancePartition:
         assert johnson_verdict.failed_hypotheses == (
             "diameter 3 != 2", "contains a triangle")
         assert petersen_verdict.applies
+
+    def test_diameter_from_one_vertex_per_orbit(self):
+        # every eccentricity is taken by the least vertex of its orbit, so
+        # walking from those alone gives the diameter
+        rng = random.Random(6)
+        graphs = [Graph(30, [(v, v + 1) for v in range(29)]), cycle(31),
+                  petersen(), johnson(7, 3), complete_graph(1)]
+        graphs += [g for g in (random_graph(rng, 12, 0.3) for _ in range(20))
+                   if is_connected(g)]
+        for g in graphs:
+            reps = orbit_representatives(g)
+            assert diameter(g, reps) == diameter(g)
+        assert orbit_representatives(graphs[0]) == tuple(range(15))
+        assert diameter(Graph(4, [(0, 1)]), (0,)) is None
 
 
 class TestStructuralProfile:
