@@ -43,7 +43,12 @@ A first-path node keeps its first child's labelling. A later sibling
 with zeta's path and a non-discrete partition has the same cell layout,
 so the position-wise map between the two labellings fixes the prefix and
 the cells; when it is an automorphism, it is recorded and the sibling's
-subtree, its image of an explored one, is skipped.
+subtree, its image of an explored one, is skipped. The order inside a
+cell is inherited from the input numbering, so the map is tried first
+with each cell of both labellings sorted by the vertices' positions in
+zeta, which turns the first child's into zeta's own, and then position
+by position as refinement left them: a shuffled C9[Q3] is then walked
+in about as many nodes as the natural one.
 ``_Search.add_automorphism`` checks and records seeds, sibling maps and
 leaf matches alike, on the rows of the vertices they move only, as saucy
 does (Katebi, Sakallah & Markov, "Faster symmetry discovery using
@@ -298,8 +303,8 @@ class _Search:
                     top[7] = child[0]
                 elif (top[6] and child[3] < self.n
                       and path == self.zeta.path[:k]
-                      and self.add_automorphism(tuple(
-                          u for _, u in sorted(zip(top[7], child[0]))))):
+                      and any(self.add_automorphism(gen)
+                              for gen in self._sibling_maps(top[7], child))):
                     path.pop()
                     continue
                 if (self.zeta is None or path == self.zeta.path[:k]
@@ -317,6 +322,22 @@ class _Search:
                     self.order *= sum(_root(uf, v) == targets[0]
                                       for v in targets)
                 stack.pop()
+
+    def _sibling_maps(self, first: list[int], child: tuple):
+        """The maps to try from a first-path node's first child, labelled
+        first, onto a sibling child with zeta's path. The two share their
+        cell layout, and each map sends every cell of first onto the cell
+        at the same positions: the first with both cells in zeta's order,
+        which orders first as zeta.lab, the second position by position.
+        One walk of zeta.lab meets each sibling cell's vertices in order."""
+        zlab, cellof = self.zeta.lab, child[1]
+        gen, slot = [0] * self.n, list(range(self.n))
+        for u in zlab:
+            c = cellof[u]
+            gen[zlab[slot[c]]] = u
+            slot[c] += 1
+        yield tuple(gen)
+        yield tuple(u for _, u in sorted(zip(first, child[0])))
 
     def _orbits(self, top: list, prefix: list[int]) -> dict[int, int]:
         """top's orbits on its targets under the automorphisms found that

@@ -212,11 +212,16 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
     of order n-2 (K1 below order 3) that the parent builds when threads >
     1, else a graph of order n, as a traced census counts the yields of
     enumerate_graphs(n), or a stream graph, 64 to a pooled task. A pool of
-    at most os.cpu_count() processes runs the tasks when threads > 1.
+    at most as many processes as the CPUs this process may run on (its
+    affinity mask, else os.cpu_count()) runs the tasks when threads > 1.
     Results come in task order, so they match either way."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
-    threads = min(threads, os.cpu_count() or 1)
+    # os.cpu_count() counts the machine's CPUs, not the ones a pinned
+    # process may use
+    threads = min(threads, len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
     _check_order(n, streamed=source is not None)
     if source is not None:
         def checked(src):

@@ -914,11 +914,12 @@ class TestSiblingImages:
         (lex_product(cycle(8), cube(3)), 48 ** 8 * 16, True),
         (double_cover(complete_graph(20)), 2 * math.factorial(20), True),
         (paley(29), 29 * 14, False),
-        (johnson(7, 3), math.factorial(7), False),
+        (johnson(7, 3), math.factorial(7), True),
     ], ids=["C8[Q3]", "crown(20)", "Paley(29)", "J(7,3)"])
     def test_shuffled_symmetric_inputs(self, monkeypatch, g, order, accepts):
-        # no sibling map of Paley(29) or J(7,3) is an automorphism, though
-        # leaf matches are; the report adds the seeds of its cover search,
+        # no sibling map of Paley(29) is an automorphism, though leaf
+        # matches are; J(7,3)'s is found only with the sibling's cells in
+        # zeta's order; the report adds the seeds of its cover search,
         # which a bipartite X such as crown(20) does not need
         tried = self.recording(monkeypatch)
         h = shuffled(g, random.Random(g.n))
@@ -929,6 +930,40 @@ class TestSiblingImages:
         report = stability_report(Graph.from_rows(h.adj))
         assert report.aut_x_order == order
         assert bool(self.check(tried)["seed"]) == (not is_bipartite(h))
+
+    def test_cells_taken_in_first_leaf_order(self, monkeypatch,
+                                             graphs_by_order):
+        # a sibling is mapped by position after each cell of both
+        # labellings is sorted by the vertices' positions in zeta, then by
+        # position as refinement left them
+        agree = []
+        real = aut._Search._sibling_maps
+
+        def position_map(a, b):
+            return tuple(v for _, v in sorted(zip(a, b)))
+
+        def maps(search, first, child):
+            pos, cend = perms._inv(search.zeta.lab), child[2]
+
+            def in_zeta_order(lab):
+                out, s = [], 0
+                while s < len(lab):
+                    out += sorted(lab[s:cend[s]], key=pos.__getitem__)
+                    s = cend[s]
+                return out
+
+            gens = list(real(search, first, child))
+            agree.append(gens == [
+                position_map(in_zeta_order(first), in_zeta_order(child[0])),
+                position_map(first, child[0])])
+            yield from gens
+
+        monkeypatch.setattr(aut._Search, "_sibling_maps", maps)
+        rng = random.Random(5)
+        for g in [*graphs_by_order[6], johnson(7, 3),
+                  shuffled(lex_product(cycle(9), cube(3)), rng)]:
+            stability_report(Graph.from_rows(g.adj))
+        assert agree and all(agree)
 
     # the order-8 graphs whose searches, on X or on the cover, meet a leaf
     # with a reference leaf's path that is not an image of it
@@ -971,9 +1006,18 @@ class TestSiblingImages:
         (lambda: stability_report(complete_graph(28)), 3, 53),
         (lambda: canonical_form(double_cover(complete_graph(50))), 2, 99),
         (lambda: stability_report(lex_product(cycle(9), cube(3))), 6, 188),
-    ], ids=["K28 report", "crown(50)", "C9[Q3] report"])
+        *[(lambda m=m, seed=seed: stability_report(shuffled(
+            lex_product(cycle(m), cube(3)), random.Random(seed))),
+           leaves, children)
+          for m, leaves, children in [(9, 7, 220), (8, 5, 154)]
+          for seed in range(1, 5)],
+    ], ids=["K28 report", "crown(50)", "C9[Q3] report",
+            *[f"C{m}[Q3] shuffled {seed}" for m in (9, 8)
+              for seed in range(1, 5)]])
     def test_work_bounds(self, monkeypatch, run, leaves, children):
-        # without the sibling check: 28/378, 51/1323 and 58/926
+        # without the sibling check: 28/378, 51/1323 and 58/926; shuffled,
+        # with the position-wise map alone, C9[Q3] walked 20-24 leaves and
+        # 513-641 children and C8[Q3] 16-23 and 375-544
         counts = {"leaves": 0, "children": 0}
 
         class Counting(aut._Search):
@@ -988,3 +1032,14 @@ class TestSiblingImages:
         monkeypatch.setattr(aut, "_Search", Counting)
         run()
         assert counts["leaves"] <= leaves and counts["children"] <= children
+
+    @pytest.mark.parametrize("m", [9, 8])
+    def test_shuffles_agree(self, m):
+        # the sibling maps change which subtrees are walked, never the best
+        # leaf's canonical string or the order read off the first path
+        g = lex_product(cycle(m), cube(3))
+        hs = [shuffled(g, random.Random(seed)) for seed in range(1, 5)]
+        assert {canonical_form(h).canonical_graph6 for h in hs} == {
+            canonical_form(g).canonical_graph6}
+        assert {canonical_form(h).aut_order for h in hs} == {48 ** m * 2 * m}
+        assert {stability_report(h) for h in hs} == {stability_report(g)}

@@ -271,7 +271,8 @@ class TestCensusRow:
     def test_parallel_agrees(self, monkeypatch, n):
         # n <= 2 has no order-(n-2) roots and runs as one pooled task
         import os
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         seq = census_row(n)
         par = census_row(n, threads=2)
         assert seq == par
@@ -286,7 +287,8 @@ class TestCensusRow:
         real = census._augment
         monkeypatch.setattr(census, "_augment",
                             lambda g: orders.append(g.n) or real(g))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         row = census_row(7, threads=2)
         assert orders and max(orders) <= 4
         assert row == census_row(7)
@@ -299,7 +301,8 @@ class TestCensusRow:
         # subtrees without a check and census_row raises it from the sum
         # of the task counts.
         import os
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         monkeypatch.setitem(KNOWN_GRAPH_COUNTS, 6, 155)
         with pytest.raises(SoundnessError, match="156 graphs of order 6"):
             census_row(6, threads=threads)
@@ -323,8 +326,16 @@ class TestCensusRow:
                 return map(fn, items)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # the affinity mask bounds the pool, not the machine's CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                            raising=False)
         assert census_row(5, threads=10 ** 6) == census_row(5)
         assert sizes == [3]
+        # a platform without affinity masks falls back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert census_row(5, threads=10 ** 6) == census_row(5)
+        assert sizes == [3, 2]
         with pytest.raises(ValueError, match="threads"):
             census_row(5, threads=0)

@@ -315,7 +315,8 @@ class TestCensus:
             raise AssertionError("generation started")
 
         monkeypatch.setattr(census, "_augment", augment)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         code, out, err = invoke(capsys, "census", "--n", "10",
                                 "--threads", threads)
         assert code == EXIT_USAGE
@@ -475,7 +476,7 @@ FORCED_FAILURES = {
         """, ["census", "--n", "4"]),
     "generated graph count off the published one, in the pool": ("""
         import os
-        os.cpu_count = lambda: 2
+        os.sched_getaffinity = lambda pid: {0, 1}
         census.KNOWN_GRAPH_COUNTS[4] = 12
         """, ["census", "--n", "4", "--threads", "2"]),
 }
