@@ -48,7 +48,10 @@ cell is inherited from the input numbering, so the map is tried first
 with each cell of both labellings sorted by the vertices' positions in
 zeta, which turns the first child's into zeta's own, and then position
 by position as refinement left them: a shuffled C9[Q3] is then walked
-in about as many nodes as the natural one.
+in about as many nodes as the natural one. The second map is kept for
+inputs whose numbering follows their structure: on a naturally numbered
+Johnson graph it maps siblings that zeta's order does not, and
+J(11,2) is walked in 24 children with it and 41 without.
 ``_Search.add_automorphism`` checks and records seeds, sibling maps and
 leaf matches alike, on the rows of the vertices they move only, as saucy
 does (Katebi, Sakallah & Markov, "Faster symmetry discovery using

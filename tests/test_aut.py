@@ -1011,13 +1011,17 @@ class TestSiblingImages:
            leaves, children)
           for m, leaves, children in [(9, 7, 220), (8, 5, 154)]
           for seed in range(1, 5)],
+        (lambda: stability_report(johnson(9, 3)), 3, 18),
+        (lambda: stability_report(johnson(11, 2)), 4, 24),
     ], ids=["K28 report", "crown(50)", "C9[Q3] report",
             *[f"C{m}[Q3] shuffled {seed}" for m in (9, 8)
-              for seed in range(1, 5)]])
+              for seed in range(1, 5)], "J(9,3) report", "J(11,2) report"])
     def test_work_bounds(self, monkeypatch, run, leaves, children):
         # without the sibling check: 28/378, 51/1323 and 58/926; shuffled,
         # with the position-wise map alone, C9[Q3] walked 20-24 leaves and
-        # 513-641 children and C8[Q3] 16-23 and 375-544
+        # 513-641 children and C8[Q3] 16-23 and 375-544; with the zeta-order
+        # map alone, the naturally numbered J(9,3) walks 7 leaves and 30
+        # children and J(11,2) 8 and 41
         counts = {"leaves": 0, "children": 0}
 
         class Counting(aut._Search):
