@@ -7,10 +7,10 @@ reference leaves (the first leaf for automorphism detection, the best leaf
 for the canonical form), walking the tree with an explicit stack. Each
 node refines one array of cells in place (``_refine``), and its exact
 refinement trace is its invariant. A leaf matches a reference leaf of
-its path when the position map between them is an automorphism; one
-that matches neither is compared with the best leaf by path, then by its
-relabelled rows. Rows are summed over ``graph_core.neighbour_lists``,
-memoized per graph. Each open node keeps a union-find of its orbits
+its path when the position map between them, composed by ``perms``, is
+an automorphism; one that matches neither is compared with the best leaf
+by path, then by the rows ``Graph.relabel`` gives it, built for that
+comparison and never stored. Each open node keeps a union-find of its orbits
 under the automorphisms found that fix its prefix, fed only the
 generators found since it last looked, and tries the least vertex of
 each orbit. Skipped branches are provably equivalent to explored ones.
@@ -234,7 +234,6 @@ class _Leaf:
     path: list[tuple]
     lab: list[int]
     prefix: list[int]
-    cert: Optional[tuple[int, ...]] = None  # built by ``_Search._cert``
 
 
 class _Search:
@@ -243,8 +242,8 @@ class _Search:
     ``zeta`` is the first leaf, against which automorphisms are detected;
     ``rho`` is the best leaf, the greatest by (path, certificate), which
     gives the canonical form. A leaf with the path of one of them is
-    matched through ``add_automorphism``; only one that matches neither
-    builds its certificate, which is dropped with the leaf.
+    matched through ``add_automorphism``; one that matches neither is
+    compared with rho by certificates built for that comparison alone.
     """
 
     def __init__(self, g: Graph):
@@ -331,8 +330,9 @@ class _Search:
         first, onto a sibling child with zeta's path. The two share their
         cell layout, and each map sends every cell of first onto the cell
         at the same positions: the first with both cells in zeta's order,
-        which orders first as zeta.lab, the second position by position.
-        One walk of zeta.lab meets each sibling cell's vertices in order."""
+        which orders first as zeta.lab, the second position by position,
+        composed through ``perms`` as a leaf match is. One walk of
+        zeta.lab meets each sibling cell's vertices in order."""
         zlab, cellof = self.zeta.lab, child[1]
         gen, slot = [0] * self.n, list(range(self.n))
         for u in zlab:
@@ -340,7 +340,7 @@ class _Search:
             gen[zlab[slot[c]]] = u
             slot[c] += 1
         yield tuple(gen)
-        yield tuple(u for _, u in sorted(zip(first, child[0])))
+        yield perms._mul(perms._inv(first), child[0])
 
     def _orbits(self, top: list, prefix: list[int]) -> dict[int, int]:
         """top's orbits on its targets under the automorphisms found that
@@ -382,23 +382,17 @@ class _Search:
         return True
 
     def _cert(self, leaf: _Leaf) -> tuple[int, ...]:
-        """leaf's certificate, built on first use: the rows, as bitsets of
-        positions, of the graph relabelled so that leaf.lab[i] becomes i;
-        it orders leaves and never decides an automorphism."""
-        if leaf.cert is None:
-            bit = [1 << i for i in perms._inv(leaf.lab)]
-            nbrs = graph_core.neighbour_lists(self.g)
-            # from a list, since a tuple grown from a generator reallocates
-            leaf.cert = tuple([sum(map(bit.__getitem__, nbrs[v]))
-                               for v in leaf.lab])
-        return leaf.cert
+        """leaf's certificate: the rows of the graph relabelled so that
+        leaf.lab[i] becomes i. Computed where it is compared and never
+        stored, it orders leaves and never decides an automorphism."""
+        return self.g.relabel(perms._inv(leaf.lab)).adj
 
     def _match(self, ref: _Leaf, leaf: _Leaf) -> Optional[int]:
-        """When leaf has ref's path and the position map ref.lab -> leaf.lab
-        passes ``add_automorphism``, which records it, return the depth of
-        the deepest common ancestor of the two leaves; otherwise None."""
+        """When leaf has ref's path and the position map ref.lab[i] ->
+        leaf.lab[i] passes ``add_automorphism``, which records it, return
+        the depth of the deepest common ancestor of the leaves; else None."""
         if leaf.path != ref.path or not self.add_automorphism(
-                tuple(v for _, v in sorted(zip(ref.lab, leaf.lab)))):
+                perms._mul(perms._inv(ref.lab), leaf.lab)):
             return None
         depth = 0
         while leaf.prefix[depth] == ref.prefix[depth]:

@@ -184,7 +184,9 @@ _FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one header-free graph6 record into a Graph."""
+    """Decode one graph6 record, after one optional ``>>graph6<<`` header
+    (networkx writes it); a fault's offset counts from the byte after it."""
+    line = line.removeprefix(">>graph6<<")
     try:
         data = line.encode("ascii")
     except UnicodeEncodeError as exc:

@@ -726,9 +726,9 @@ class TestLazyGraph6:
 
 
 class TestCertificates:
-    # a leaf's certificate sums a bit table over the memoized neighbour
-    # lists of the graph searched, which may be a twin quotient; it must
-    # equal the rows relabelled bit by bit
+    # a leaf's certificate is the rows Graph.relabel gives the graph
+    # searched, which may be a twin quotient, under the leaf's labelling;
+    # an independent relabelling bit by bit checks both
 
     @staticmethod
     def check_every_leaf(monkeypatch, graphs):
@@ -846,6 +846,17 @@ class TestLazyNeighbourLists:
         assert any(s == "certificate" for s, _ in cover_reads) == certified
         if not certified:
             assert leaves.count(2 * g.n) == 1
+
+
+def petersen_union_form(copies=40):
+    """canonical_form of copies disjoint Petersen graphs, copy i relabelled
+    by random.Random(i), checked against |Aut| = 120^copies * copies!."""
+    rows = []
+    for i in range(copies):
+        rows += [row << 10 * i
+                 for row in shuffled(petersen(), random.Random(i)).adj]
+    cf = canonical_form(Graph.from_rows(rows))
+    assert cf.aut_order == 120 ** copies * math.factorial(copies)
 
 
 class TestSiblingImages:
@@ -1013,15 +1024,18 @@ class TestSiblingImages:
           for seed in range(1, 5)],
         (lambda: stability_report(johnson(9, 3)), 3, 18),
         (lambda: stability_report(johnson(11, 2)), 4, 24),
+        (petersen_union_form, 16, 1730),
     ], ids=["K28 report", "crown(50)", "C9[Q3] report",
             *[f"C{m}[Q3] shuffled {seed}" for m in (9, 8)
-              for seed in range(1, 5)], "J(9,3) report", "J(11,2) report"])
+              for seed in range(1, 5)], "J(9,3) report", "J(11,2) report",
+            "40 Petersen graphs"])
     def test_work_bounds(self, monkeypatch, run, leaves, children):
         # without the sibling check: 28/378, 51/1323 and 58/926; shuffled,
         # with the position-wise map alone, C9[Q3] walked 20-24 leaves and
         # 513-641 children and C8[Q3] 16-23 and 375-544; with the zeta-order
         # map alone, the naturally numbered J(9,3) walks 7 leaves and 30
-        # children and J(11,2) 8 and 41
+        # children and J(11,2) 8 and 41; the Petersen union's bounds are
+        # the walk measured when they were set
         counts = {"leaves": 0, "children": 0}
 
         class Counting(aut._Search):

@@ -143,6 +143,20 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert not out and "parse error" in err
 
+    def test_graph6_header_accepted(self, capsys):
+        code, out, _ = invoke(capsys, "analyze", ">>graph6<<Bw")
+        assert code == EXIT_OK
+        assert out == invoke(capsys, "analyze", "Bw")[1]
+
+    @pytest.mark.parametrize("arg, message", [
+        (">>graph6<<", "empty graph6 record"),
+        (">>graph6<<D", "record too short"),
+    ])
+    def test_graph6_header_without_a_record(self, capsys, arg, message):
+        code, out, err = invoke(capsys, "analyze", arg)
+        assert code == EXIT_PARSE
+        assert not out and message in err
+
     def test_non_ascii_record_is_a_parse_error(self, capsys):
         code, out, err = invoke(capsys, "analyze", "B\u00e9")
         assert code == EXIT_PARSE
@@ -265,6 +279,32 @@ class TestCensus:
         from coverstab.cover import stability_report
         assert (stability_report(parse_graph6(emitted[0])).classification
                 == "nontrivially_unstable")
+
+    def test_stream_with_graph6_headers(self, capsys, tmp_path):
+        # each line as networkx writes it, '>>graph6<<' header included,
+        # gives the row and the ntu line of the header-free stream
+        nx = pytest.importorskip("networkx")
+        from coverstab.census import enumerate_graphs
+        plain, headed = tmp_path / "g5.g6", tmp_path / "g5nx.g6"
+        graphs = list(enumerate_graphs(5))
+        plain.write_text("\n".join(map(write_graph6, graphs)) + "\n")
+        with open(headed, "wb") as f:
+            for g in graphs:
+                h = nx.Graph()
+                h.add_nodes_from(range(g.n))
+                h.add_edges_from(g.edges())
+                f.write(nx.to_graph6_bytes(h))
+        assert headed.read_text().count(">>graph6<<") == 34
+        emitted = []
+        for stream in (plain, headed):
+            out_file = tmp_path / f"ntu-{stream.stem}.g6"
+            code, out, err = invoke(capsys, "census", "--n", "5",
+                                    "--stream", str(stream), "--csv",
+                                    "--emit-ntu", str(out_file))
+            assert code == EXIT_OK
+            assert out.strip().splitlines()[1] == "5,10,1,1"
+            emitted.append(out_file.read_text().strip().splitlines())
+        assert len(emitted[0]) == 1 and emitted[1] == emitted[0]
 
     def test_emit_onto_the_stream_is_refused(self, capsys, tmp_path):
         # opening the output would truncate the input before it is read

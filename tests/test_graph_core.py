@@ -72,7 +72,8 @@ class TestGraph6:
     def test_matches_networkx(self):
         # networkx's graph6 codec is independent of the package; orders 63
         # and up take the four-byte size prefix; orders 258 and 1000 give
-        # long sparse and dense payloads
+        # long sparse and dense payloads; by default it writes the
+        # '>>graph6<<' header
         nx = pytest.importorskip("networkx")
         rng = random.Random(17)
         cases = [(n, rng.choice([0.1, 0.5, 0.9]))
@@ -91,6 +92,7 @@ class TestGraph6:
             assert {frozenset(e) for e in back.edges()} == {
                 frozenset(e) for e in g.edges()}
             assert parse_graph6(theirs.strip()) == g
+            assert parse_graph6(nx.to_graph6_bytes(h).decode("ascii")) == g
 
     def test_large_sparse_graph_memory(self):
         # C_4000 has an 8-million-bit payload; the codec's transient
@@ -121,6 +123,18 @@ class TestGraph6:
         with pytest.raises(GraphParseError, match="padding"):
             # K2's payload with a stray bit in the padding area
             parse_graph6("A" + chr(0b111111 + 63))
+
+    def test_one_optional_header_dropped(self):
+        # offsets count from the first byte after the header
+        assert parse_graph6(">>graph6<<Bw") == k(3)
+        with pytest.raises(GraphParseError, match="empty graph6 record"):
+            parse_graph6(">>graph6<<")
+        with pytest.raises(GraphParseError, match="offset 0"):
+            parse_graph6(">>graph6<<\x1cw")
+        with pytest.raises(GraphParseError, match="trailing.*offset 2"):
+            parse_graph6(">>graph6<<Bw?")
+        with pytest.raises(GraphParseError, match="outside graph6 range"):
+            parse_graph6(">>graph6<<>>graph6<<Bw")  # one header only
 
     def test_non_ascii_rejected_with_offset(self):
         # must not be read as a '?' byte, which is valid graph6

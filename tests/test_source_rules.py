@@ -95,6 +95,19 @@ def test_automorphisms_are_image_tuples():
                 for t in ast.walk(node)
                 if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
     assert defined == {"_mul", "_inv", "PermGroup", "group_from_generators"}
+    # they are the one composition and inversion: the search's leaf and
+    # sibling position maps compose through them, and aut sorts no zipped
+    # labellings into a map of its own
+    aut_py = PACKAGE / "aut.py"
+    assert not [node.lineno for node in ast.walk(ast.parse(
+                    aut_py.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and _name(node.func) == "sorted"
+                and node.args and isinstance(node.args[0], ast.Call)
+                and _name(node.args[0].func) == "zip"]
+    for user in ("aut._Search._match", "aut._Search._sibling_maps"):
+        assert any(isinstance(node, ast.Call) and _name(node.func) == "_mul"
+                   and _name(node.func.value) == "perms"
+                   for node in _split(aut_py, user)[0]), user
 
 
 def test_search_runs_only_behind_the_twin_quotient():
@@ -251,10 +264,11 @@ def _lowest_bit_walks(nodes):
 
 
 def test_relabelling_reads_memoized_neighbour_lists():
-    # Graph.relabel, the leaf certificates and the automorphism check all
-    # sum a bit table over graph_core.neighbour_lists, memoized by
-    # graph_core.memoized under its own name with no hand-written memo
-    # beside it, and none walks a row bit by bit; _refine keeps its own walk
+    # Graph.relabel and the automorphism check sum a bit table over
+    # graph_core.neighbour_lists, memoized by graph_core.memoized under its
+    # own name with no hand-written memo beside it, and neither walks a row
+    # bit by bit; the leaf certificates are Graph.relabel's rows, with no
+    # kernel of their own; _refine keeps its own walk
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     graph_core_py, aut_py = PACKAGE / "graph_core.py", PACKAGE / "aut.py"
@@ -268,12 +282,19 @@ def test_relabelling_reads_memoized_neighbour_lists():
              and node.value in ("nbrs", "neighbour_lists")]
     assert not found
     for path, user in ((graph_core_py, "graph_core.Graph.relabel"),
-                       (aut_py, "aut._Search._cert"),
                        (aut_py, "aut._Search.add_automorphism")):
         body = _split(path, user)[0]
         assert body
         assert any(_name(node) == "neighbour_lists" for node in body)
         assert not _lowest_bit_walks(body)
+    body = _split(aut_py, "aut._Search._cert")[0]
+    assert any(isinstance(node, ast.Call) and _name(node.func) == "relabel"
+               for node in body)
+    assert not [node.lineno for node in body
+                if _name(node) == "neighbour_lists"
+                or isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.LShift)]
+    assert not _lowest_bit_walks(body)
     assert _lowest_bit_walks(_split(aut_py, "aut._refine")[0])
 
 
@@ -351,17 +372,22 @@ def test_one_automorphism_check_on_the_support():
     # canonical_form's seed check and the search's sibling and leaf checks
     # test an image tuple through one method, which reads only the rows of
     # the vertices it moves and is the only one that records a generator;
-    # nothing in aut relabels a graph to compare it, and the search keeps
-    # no per-row or per-generator state beside its generators
+    # nothing in aut relabels a graph to decide an automorphism, and the
+    # search keeps no per-row, per-generator or per-leaf state beside its
+    # generators and its two reference leaves
     aut_py = PACKAGE / "aut.py"
     tree = ast.parse(aut_py.read_text(encoding="utf-8"), filename=str(aut_py))
-    accessor = "aut.CanonicalForm.canonical_graph6"
-    inside, outside = _split(aut_py, accessor)
-    assert not [node.lineno for node in outside if _name(node) == "relabel"]
-    # the one relabelling encodes the canonical form and compares nothing
-    assert any(_name(node) == "relabel" for node in inside)
-    assert not [node.lineno for node in inside
-                if isinstance(node, ast.Compare)]
+    # the two relabellings encode the canonical form and give a leaf's
+    # certificate; neither compares anything, and the certificate is read
+    # only where _leaf orders a leaf against rho
+    owners = {name: {owner for owner, node in _owned_names(aut_py)
+                     if _name(node) == name} for name in ("relabel", "_cert")}
+    assert owners == {"relabel": {"aut.CanonicalForm.canonical_graph6",
+                                  "aut._Search._cert"},
+                      "_cert": {"aut._Search._leaf"}}
+    for user in owners["relabel"]:
+        assert not [node.lineno for node in _split(aut_py, user)[0]
+                    if isinstance(node, ast.Compare)], user
     checkers = {node.name for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
                 for inner in ast.walk(node) if isinstance(inner, ast.Compare)
@@ -382,6 +408,10 @@ def test_one_automorphism_check_on_the_support():
               if isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Store)}
     assert fields == {"g", "n", "gens", "zeta", "rho", "order", "jump_to"}
+    [leaf] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "_Leaf"]
+    assert [node.target.id for node in leaf.body
+            if isinstance(node, ast.AnnAssign)] == ["path", "lab", "prefix"]
 
 
 def _owned_names(path):
