@@ -499,16 +499,13 @@ def canonical_form(g: Graph,
     for classes in reversed(levels):
         lab = [v for b in lab for v in classes[b]]
         roots = orbit_roots(gens, len(classes))
-        lifted = []
-        for sig in gens:
-            images = [0] * len(lab)
-            for cls, image in zip(classes, sig):
-                for x, y in zip(cls, classes[image]):
-                    images[x] = y
-            lifted.append(tuple(images))
+        # sig maps classes onto classes of the same size, member i to
+        # member i, so x goes to the vertex at x's position in sig's order
+        back = perms._inv([v for cls in classes for v in cls])
+        lifted = [perms._mul(back, [v for b in sig for v in classes[b]])
+                  for sig in gens]
         for b, cls in enumerate(classes):
-            if len(cls) > 1:
-                order *= factorial(len(cls))
+            order *= factorial(len(cls))
             if len(cls) > 1 and roots[b] == b:
                 # a transposition and a cycle of the class; their conjugates
                 # by the lifted generators reach the rest of b's orbit

@@ -164,18 +164,22 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     _check_count(count, n)
 
 
-def stream_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a graph6 line stream, skipping blanks; errors carry the line
-    number."""
+def stream_graph6(lines: Iterable[str], n: int) -> Iterator[Graph]:
+    """Parse a graph6 line stream of order-n graphs, skipping blanks; a
+    malformed record or one of another order raises GraphParseError
+    naming its line."""
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            yield parse_graph6(stripped)
+            g = parse_graph6(stripped)
         except GraphParseError as exc:
+            raise GraphParseError(f"line {lineno}: {exc.args[0]}") from exc
+        if g.n != n:
             raise GraphParseError(
-                f"line {lineno}: {exc.args[0]}") from exc
+                f"line {lineno}: graph has order {g.n}, expected {n}")
+        yield g
 
 
 def classify_graph(g: Graph) -> tuple[bool, bool, bool]:
@@ -224,13 +228,7 @@ def census_row(n: int, source: Optional[Iterable[str]] = None,
                   else os.cpu_count() or 1)
     _check_order(n, streamed=source is not None)
     if source is not None:
-        def checked(src):
-            for g in stream_graph6(src):
-                if g.n != n:
-                    raise GraphParseError(
-                        f"stream graph has order {g.n}, expected {n}")
-                yield g
-        roots, chunksize = checked(source), 64
+        roots, chunksize = stream_graph6(source, n), 64
     else:
         roots = enumerate_graphs(max(n - 2, 1) if threads > 1 else n)
         chunksize = 1

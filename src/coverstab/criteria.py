@@ -68,12 +68,17 @@ class CriterionVerdict:
                 for name, v in values if v is not None}
 
 
-def _verdict(crit: str, failed: list[str],
-             detail: Optional[str] = None) -> CriterionVerdict:
+def _verdict(crit: str, failed: list[str], detail: Optional[str] = None,
+             general=None) -> CriterionVerdict:
     """The verdict from a criterion's failed hypotheses: it does not apply
-    when one failed, and otherwise applies and implies stability."""
+    when one failed, and otherwise applies and implies stability. A special
+    case passes general, which gives the verdict of its general criterion:
+    that must apply too, else SoundnessError."""
     if failed:
         return CriterionVerdict(crit, False, tuple(failed))
+    if general and not (verdict := general()).applies:
+        raise SoundnessError(f"{crit} holds but {verdict.criterion}, of "
+                             "which it is a special case, does not")
     return CriterionVerdict(crit, True, (), "stable", detail=detail)
 
 
@@ -171,10 +176,10 @@ def check_triangle_distance_growth(g: Graph) -> CriterionVerdict:
 
 
 def check_distance_regular(g: Graph) -> CriterionVerdict:
-    """Distance-regular specialization: d >= 4 and b0 > b1 + 1. The
-    hypotheses b2, b3 >= 1 need no check: in a distance-regular graph
-    b_j >= 1 for every j < d, since layer j + 1 is non-empty and each of
-    its vertices has a neighbour in layer j."""
+    """Distance-regular case of triangle-distance-growth, which is checked
+    to hold too: d >= 4 and b0 > b1 + 1. The hypotheses b2, b3 >= 1 need no
+    check: in a distance-regular graph b_j >= 1 for every j < d, since layer
+    j + 1 is non-empty and each of its vertices has a neighbour in layer j."""
     crit = "distance-regular-growth"
     arr = intersection_array(g)
     if arr is None:
@@ -184,7 +189,8 @@ def check_distance_regular(g: Graph) -> CriterionVerdict:
         failed.append(f"diameter {arr.d} < 4")
     if arr.d >= 2 and arr.b[0] <= arr.b[1] + 1:
         failed.append("b0 <= b1 + 1 (some edge lies on no triangle)")
-    return _verdict(crit, failed)
+    return _verdict(crit, failed,
+                    general=lambda: check_triangle_distance_growth(g))
 
 
 @memoized
@@ -223,10 +229,8 @@ def check_common_neighbor_separation(g: Graph) -> CriterionVerdict:
 
 
 def check_srg_distinct_counts(g: Graph) -> CriterionVerdict:
-    """Strongly regular case: k > mu, mu != lambda, lambda >= 1.
-
-    A strongly regular graph meeting this automatically meets the
-    common-neighbour separation criterion; that implication is asserted."""
+    """Strongly regular case of common-neighbor-separation, which is checked
+    to hold too: k > mu, mu != lambda, lambda >= 1."""
     crit = "srg-distinct-counts"
     p = srg_params(g)
     if p is None:
@@ -238,10 +242,8 @@ def check_srg_distinct_counts(g: Graph) -> CriterionVerdict:
         failed.append(f"mu = lambda = {p.mu}")
     if p.lambda_ < 1:
         failed.append("lambda = 0 (triangle-free)")
-    if not failed and not check_common_neighbor_separation(g).applies:
-        raise SoundnessError("srg-distinct-counts holds but its special case "
-                             "common-neighbor-separation does not")
-    return _verdict(crit, failed, f"srg{p.as_tuple()}")
+    return _verdict(crit, failed, f"srg{p.as_tuple()}",
+                    lambda: check_common_neighbor_separation(g))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,8 @@ def check_triangle_free_diam2(g: Graph) -> CriterionVerdict:
 
 
 def check_srg_triangle_free(g: Graph) -> CriterionVerdict:
-    """Strongly regular, k > mu and lambda = 0 imply stability."""
+    """Strongly regular case of triangle-free-diameter-2, which is checked to
+    hold too: k > mu and lambda = 0."""
     crit = "srg-triangle-free"
     p = srg_params(g)
     if p is None:
@@ -279,7 +282,8 @@ def check_srg_triangle_free(g: Graph) -> CriterionVerdict:
         failed.append(f"k = {p.k} <= mu = {p.mu} (has twins)")
     if p.lambda_ != 0:
         failed.append(f"lambda = {p.lambda_} != 0")
-    return _verdict(crit, failed, f"srg{p.as_tuple()}")
+    return _verdict(crit, failed, f"srg{p.as_tuple()}",
+                    lambda: check_triangle_free_diam2(g))
 
 
 def check_srg_instability_constraint(g: Graph) -> CriterionVerdict:

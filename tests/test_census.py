@@ -118,20 +118,30 @@ class TestEnumeration:
 
 
 class TestStreamGraph6:
+    # a stream holds the graphs of one order, which the reader is given
     def test_two_records(self):
-        graphs = list(stream_graph6(io.StringIO("A_\nBw\n")))
-        assert graphs == [Graph(2, [(0, 1)]), complete_graph(3)]
+        graphs = list(stream_graph6(io.StringIO("Bg\nBw\n"), 3))
+        assert graphs == [Graph(3, [(0, 1), (1, 2)]), complete_graph(3)]
 
     def test_blank_lines_skipped(self):
-        graphs = list(stream_graph6(io.StringIO("\nA_\n\n\nBw\n")))
+        graphs = list(stream_graph6(io.StringIO("\nBg\n\n\nBw\n"), 3))
         assert len(graphs) == 2
 
     def test_empty_stream(self):
-        assert list(stream_graph6(io.StringIO(""))) == []
+        assert list(stream_graph6(io.StringIO(""), 3)) == []
 
     def test_error_cites_line(self):
         with pytest.raises(GraphParseError, match="line 3"):
-            list(stream_graph6(io.StringIO("A_\nBw\n&&&\n")))
+            list(stream_graph6(io.StringIO("Bg\nBw\n&&&\n"), 3))
+
+    def test_record_of_another_order_cites_line(self):
+        # checked as each record is read, blank lines counted, so the
+        # records before it are yielded first
+        stream = stream_graph6(io.StringIO("Bg\n\nA_\nBw\n"), 3)
+        assert next(stream) == Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphParseError) as info:
+            next(stream)
+        assert str(info.value) == "line 3: graph has order 2, expected 3"
 
 
 def assert_xab_witness(g, w):
@@ -249,14 +259,37 @@ class TestCensusRow:
             row = census_row(n)
             assert row.count_xab <= row.count_ntu <= row.count_cnbtf
 
-    def test_stream_source_matches_builtin(self, graphs_by_order):
-        lines = [write_graph6(g) for g in graphs_by_order[6]]
-        row = census_row(6, source=iter(lines))
-        assert row == census_row(6)
+    def test_stream_source_matches_builtin(self, graphs_by_order,
+                                           monkeypatch):
+        # CensusRow equality ignores ntu, so the ntu lines are compared too
+        import os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        for n in range(1, 8):
+            builtin = census_row(n)
+            lines = [write_graph6(g) for g in graphs_by_order[n]]
+            for threads in (1, 2):
+                row = census_row(n, source=iter(lines), threads=threads)
+                assert row == builtin
+                assert row.ntu == builtin.ntu
 
     def test_stream_order_mismatch_rejected(self):
         with pytest.raises(GraphParseError, match="order"):
             census_row(5, source=iter(["A_"]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stream_order_mismatch_names_its_line(self, graphs_by_order,
+                                                  monkeypatch, threads):
+        # ten order-5 records, a blank line, then K3 on line 12; pooled,
+        # the error raised while the tasks are read reaches census_row
+        import os
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        lines = [write_graph6(g) for g in graphs_by_order[5][:10]]
+        lines += ["", "Bw"] + [write_graph6(g) for g in graphs_by_order[5]]
+        with pytest.raises(GraphParseError) as info:
+            census_row(5, source=iter(lines), threads=threads)
+        assert str(info.value) == "line 12: graph has order 3, expected 5"
 
     def test_ntu_collection_reverifies(self, graphs_by_order):
         row = census_row(6)

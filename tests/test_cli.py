@@ -14,7 +14,7 @@ import pytest
 
 from coverstab.graph_core import Graph, parse_graph6, write_graph6
 from coverstab.aut import are_isomorphic
-from coverstab.families import complete_graph, cycle, johnson
+from coverstab.families import complete_graph, cycle, johnson, petersen
 from coverstab.cli import run, EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_SOUNDNESS
 
 
@@ -333,6 +333,15 @@ class TestCensus:
                               "--stream", str(stream))
         assert code == EXIT_PARSE and "line" in err
 
+    def test_stream_record_of_another_order(self, capsys, tmp_path):
+        # refused like a malformed record, with the line it is on
+        stream = tmp_path / "mixed.g6"
+        stream.write_text("Dhc\n\nBw\n")
+        code, out, err = invoke(capsys, "census", "--n", "5",
+                                "--stream", str(stream))
+        assert code == EXIT_PARSE and not out
+        assert err == "parse error: line 3: graph has order 3, expected 5\n"
+
     def test_non_ascii_stream_is_a_parse_error(self, capsys, tmp_path):
         stream = tmp_path / "bad.g6"
         stream.write_text("Bw\nB\u00e9\n", encoding="utf-8")
@@ -511,6 +520,15 @@ FORCED_FAILURES = {
         criteria.srg_params = lambda g: real(g) and dataclasses.replace(
             real(g), k=real(g).mu, lambda_=real(g).mu + 1)
         """, ["analyze", "--criteria", "O~`HW}GPHDaNaGPCcPWaN"]),
+    "srg-triangle-free without triangle-free-diameter-2": ("""
+        criteria.check_triangle_free_diam2 = lambda g: criteria.CriterionVerdict(
+            "triangle-free-diameter-2", False, ("forced",))
+        """, ["analyze", "--criteria", write_graph6(petersen())]),
+    "distance-regular-growth without triangle-distance-growth": ("""
+        criteria.check_triangle_distance_growth = (
+            lambda g: criteria.CriterionVerdict(
+                "triangle-distance-growth", False, ("forced",)))
+        """, ["analyze", "--criteria", write_graph6(johnson(8, 4))]),
     "generated graph count off the published one": ("""
         census.KNOWN_GRAPH_COUNTS[4] = 12
         """, ["census", "--n", "4"]),

@@ -552,6 +552,37 @@ class TestSharedDistanceTable:
         with pytest.raises(SoundnessError, match="special case"):
             check_srg_distinct_counts(g)
 
+    @pytest.mark.parametrize("special, general, make", [
+        (check_srg_triangle_free, "check_triangle_free_diam2", petersen),
+        (check_distance_regular, "check_triangle_distance_growth",
+         lambda: johnson(8, 4)),
+    ], ids=["srg-triangle-free", "distance-regular-growth"])
+    def test_special_case_checks_its_general_criterion(
+            self, special, general, make, monkeypatch):
+        # a triangle-free srg with k > mu is twin-free, non-bipartite and of
+        # diameter 2; a distance-regular graph with b0 > b1 + 1 has every
+        # edge on a triangle, and d >= 4 gives the shells. The general
+        # checker runs where the special case holds, reading the memoized
+        # array and layers with no BFS, and only there; when it does not
+        # apply, the special case raises SoundnessError
+        g = make()
+        criteria_summary(g)
+        calls = []
+        real = graph_core.bfs_layers
+        monkeypatch.setattr(graph_core, "bfs_layers",
+                            lambda h, x: calls.append(x) or real(h, x))
+        monkeypatch.setattr(criteria, "bfs_layers", graph_core.bfs_layers)
+        assert special(g).applies and getattr(criteria, general)(g).applies
+        assert not calls
+        forced = CriterionVerdict(general, False, ("forced",))
+        ran = []
+        monkeypatch.setattr(criteria, general,
+                            lambda h: ran.append(h) or forced)
+        assert not special(johnson(6, 2)).applies and not ran
+        with pytest.raises(SoundnessError, match="special case"):
+            special(g)
+        assert ran == [g]
+
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(314)

@@ -104,10 +104,25 @@ def test_automorphisms_are_image_tuples():
                 if isinstance(node, ast.Call) and _name(node.func) == "sorted"
                 and node.args and isinstance(node.args[0], ast.Call)
                 and _name(node.args[0].func) == "zip"]
-    for user in ("aut._Search._match", "aut._Search._sibling_maps"):
+    for user in ("aut._Search._match", "aut._Search._sibling_maps",
+                 "aut.canonical_form"):
         assert any(isinstance(node, ast.Call) and _name(node.func) == "_mul"
                    and _name(node.func.value) == "perms"
                    for node in _split(aut_py, user)[0]), user
+    # canonical_form lifts a twin quotient's generators by composing with
+    # the inverse of the classes' order, not by walking each class beside
+    # its image member by member
+    body = _split(aut_py, "aut.canonical_form")[0]
+    assert any(isinstance(node, ast.Call) and _name(node.func) == "_inv"
+               and _name(node.func.value) == "perms"
+               and isinstance(node.args[0], ast.ListComp) for node in body)
+    assert not [node.lineno for node in body
+                if isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and _name(node.iter.func) == "zip"
+                and any(isinstance(arg, ast.Subscript)
+                        and _name(arg.value) == "classes"
+                        for arg in node.iter.args)]
 
 
 def test_search_runs_only_behind_the_twin_quotient():
@@ -358,6 +373,21 @@ def test_census_rows_carry_their_ntu_graphs():
     args = _function(PACKAGE / "census.py", "census_row").args
     params = args.posonlyargs + args.args + args.kwonlyargs
     assert params and "collect_ntu" not in [a.arg for a in params]
+
+
+def test_stream_records_checked_where_they_are_read():
+    # a stream's records are checked for the census order where they are
+    # read, with their line numbers: census_row wraps the reader in no
+    # function of its own and compares no graph's order
+    census_py = PACKAGE / "census.py"
+    row = _split(census_py, "census.census_row")[0]
+    assert not [node.lineno for node in row[1:]
+                if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                or (isinstance(node, ast.Attribute) and node.attr == "n")]
+    stream = _function(census_py, "stream_graph6")
+    assert [a.arg for a in stream.args.args] == ["lines", "n"]
+    assert any(isinstance(node, ast.Compare)
+               and _name(node.left) == "n" for node in ast.walk(stream))
 
 
 def test_twin_quotient_is_an_induced_subgraph():
