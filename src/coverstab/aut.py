@@ -128,6 +128,17 @@ def _equitable(adj, cells: Iterable[Iterable[int]], trace: list[int]):
                                       len(starts), trace)
 
 
+def equitable_cells(g: Graph) -> list[list[int]]:
+    """The cells of g's coarsest equitable partition, refined from the
+    unit partition, in the order refinement leaves them."""
+    lab, _, cend, _ = _equitable(g.adj, [range(g.n)], [])
+    cells, s = [], 0
+    while s < g.n:
+        cells.append(lab[s:cend[s]])
+        s = cend[s]
+    return cells
+
+
 def _refine(adj, lab: list[int], cellof: list[int], cend: list[int],
             queue: list[int], ncells: int, trace: list[int]) -> int:
     """Split cells in place until the partition is equitable with respect

@@ -22,7 +22,11 @@ the cover is connected and bipartite with the two layers as its colour
 classes, so every cover automorphism preserves or swaps the layers:
 |Aut(BX)| is twice the order of the layer-preserving subgroup. That
 search starts from the lifts of Aut(X)'s generators, which it would
-otherwise find again one explored path each. Any other
+otherwise find again one explored path each. It is skipped when every
+cell of X's coarsest equitable partition is one class of closed twins,
+a discrete partition included: the lemma in ``stability_report`` shows
+the lifts are then the whole subgroup, so K_n's crown graph is never
+built. Any other
 base is read off its components, since B(X ⊔ Y) = B(X) ⊔ B(Y) and
 B(D) ≅ 2D for a connected bipartite D, K1 included. Aut of a disjoint
 union is ∏ Aut(C) ≀ S_k over its isomorphism classes, C occurring k
@@ -46,7 +50,7 @@ from typing import Sequence
 from .graph_core import (Graph, SoundnessError, is_connected, is_bipartite,
                          has_twins, bits, component_layers,
                          layers_bipartite, induced_subgraph, memoized)
-from .aut import CanonicalForm, canonical_form
+from .aut import CanonicalForm, canonical_form, equitable_cells
 
 REASON_DISCONNECTED = "disconnected"
 REASON_BIPARTITE = "bipartite_with_nontrivial_aut"
@@ -146,6 +150,15 @@ def _layered_cover_form(c: Graph, cf: CanonicalForm) -> CanonicalForm:
     return canonical_form(double_cover(c), layers, lifts)
 
 
+def _closed_twin_cells(g: Graph) -> bool:
+    """Has g closed twins, with every cell of its coarsest equitable
+    partition one class of them? A graph without closed twins costs one
+    set of its closed rows."""
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    return len(set(closed)) < g.n and all(
+        len({closed[v] for v in cell}) == 1 for cell in equitable_cells(g))
+
+
 def _component_parts(c: Graph, cf: CanonicalForm) -> tuple[list, list]:
     """The (key, |Aut|) parts a connected c with canonical form cf adds
     to X and to BX."""
@@ -204,12 +217,33 @@ def stability_report(g: Graph) -> StabilityReport:
     the report always carries exact orders, also for bipartite or
     disconnected inputs.
 
-    Lemma: if the coarsest equitable partition of a connected non-bipartite
-    X is discrete, then |Aut(X)| = 1 and |Aut(BX)| = 2, and no cover is
-    searched. The layer swap maps the coarsest equitable refinement R of
-    BX's layers to itself, so R cuts both layers into one partition of X.
-    It is equitable, so it refines X's discrete one: layer-preserving
-    automorphisms of BX fix every cell of R, a single vertex.
+    Lemma: a connected non-bipartite X is stable when every cell of its
+    coarsest equitable partition π_X is one class of closed twins (equal
+    closed neighbourhoods, a singleton counting as one); then
+    |Aut(BX)| = 2 |Aut(X)| and no cover is searched. A discrete π_X is
+    the case without twins. A layer-preserving automorphism of BX is a
+    pair (α, β) of permutations of X, α on layer 0 and β on layer 1, with
+    x ~ y exactly when α(x) ~ β(y).
+
+    1. (α, β) fixes every cell of R, the coarsest equitable refinement of
+       BX's layers: colour refinement computes each cell from the layers
+       and the edges alone.
+    2. The layer swap maps R onto itself, so R = P × {0} ∪ P × {1} for
+       one partition P of X. P is equitable on X, as R is on BX, so it
+       refines π_X, and α and β fix every cell of P.
+    3. Let C be a cell of π_X and N[C] the closed neighbourhood its
+       vertices share. C is a clique, and a vertex outside C sees all of
+       C or none of it; as π_X is equitable, each cell D of P outside C
+       is wholly joined to C or wholly apart from it. So N[C], C with the
+       cells joined to it, is a union of cells of P, and β maps it onto
+       itself.
+    4. For x in C, α(x) and β(x) lie in x's cell of P, inside C. The edge
+       condition reads N(α(x)) = β(N(x)); as N(y) = N[C] ∖ {y} for y in
+       C, that is N[C] ∖ {α(x)} = N[C] ∖ {β(x)}, so α(x) = β(x).
+
+    So α = β, an automorphism of X, and the layer-preserving subgroup is
+    the lifts of Aut(X). A graph without closed twins meets the condition
+    only when π_X is discrete, which its canonical form already records.
     """
     if g.n == 0:
         raise ValueError("stability is undefined for the empty graph")
@@ -221,8 +255,10 @@ def stability_report(g: Graph) -> StabilityReport:
     else:
         cf = canonical_form(g)
         aut_x = cf.aut_order
-        # BX is two copies of a bipartite X; the lemma covers discrete X
-        aut_bx = 2 * (aut_x ** 2 if bipartite else 1 if cf.discrete
+        # BX is two copies of a bipartite X; the lemma covers closed-twin
+        # cells, discrete ones included
+        aut_bx = 2 * (aut_x ** 2 if bipartite
+                      else aut_x if cf.discrete or _closed_twin_cells(g)
                       else _layered_cover_form(g, cf).aut_order)
     expected = 2 * aut_x
     if aut_bx % expected:

@@ -486,24 +486,24 @@ FORCED_FAILURES = {
     "cover order not divisible by 2|Aut(X)|": ("""
         real = cover.canonical_form
         cover.canonical_form = lambda g, p=None, seeds=(): (
-            dataclasses.replace(real(g, p, seeds), aut_order=3) if g.n == 6
+            dataclasses.replace(real(g, p, seeds), aut_order=3) if g.n == 10
             else real(g, p, seeds))
-        """, ["analyze", "Bw"]),
+        """, ["analyze", "Dhc"]),
     "lifted seed off the cover's automorphisms": ("""
         real = cover.canonical_form
         cover.canonical_form = lambda g, p=None, seeds=(): real(
             g, p, tuple(s[::-1] for s in seeds))
-        """, ["analyze", "Bw"]),
+        """, ["analyze", "Dhc"]),
     "lifted seed with a repeated image": ("""
         real = cover.canonical_form
         cover.canonical_form = lambda g, p=None, seeds=(): real(
             g, p, tuple(s[:-1] + s[-2:-1] for s in seeds))
-        """, ["analyze", "Bw"]),
+        """, ["analyze", "Dhc"]),
     "lifted seed with a negative image": ("""
         real = cover.canonical_form
         cover.canonical_form = lambda g, p=None, seeds=(): real(
             g, p, tuple(s[:-1] + (-1,) for s in seeds))
-        """, ["analyze", "Bw"]),
+        """, ["analyze", "Dhc"]),
     "Schreier-Sims order off the search order": ("""
         perms.group_from_generators = lambda gens, n: Order(5)
         cli.stability_report = lambda g: aut.automorphism_group(g)

@@ -281,24 +281,93 @@ class TestStabilityReport:
 
     def test_discrete_refinement_fast_path(self, graphs_by_order):
         # a connected non-bipartite X whose coarsest equitable partition is
-        # discrete gets |Aut(BX)| = 2 with no cover search; the layered
-        # cover search is the reference on every such graph of order <= 8
+        # discrete, or has one class of closed twins for each cell, gets
+        # |Aut(BX)| = 2|Aut(X)| with no cover search; the layered cover
+        # search is the reference on every such graph of order <= 8
         orders = {**graphs_by_order, 8: list(enumerate_graphs(8))}
-        fast = []
+        discrete, decided = [], []
         for n, graphs in sorted(orders.items()):
-            fast.append(0)
+            discrete.append(0)
+            decided.append(0)
             for g in graphs:
                 if not is_connected(g) or is_bipartite(g):
                     continue
                 cf = canonical_form(g)
-                assert cf.discrete == all(
-                    len(c) == 1 for c in refine(g, [range(n)]))
-                if cf.discrete:
-                    fast[-1] += 1
+                cells = refine(g, [range(n)])
+                assert cf.discrete == all(len(c) == 1 for c in cells)
+                closed = [g.adj[v] | 1 << v for v in range(n)]
+                twin_cells = cover._closed_twin_cells(g)
+                assert twin_cells == (
+                    len(set(closed)) < n
+                    and all(len({closed[v] for v in c}) == 1 for c in cells))
+                if cf.discrete or twin_cells:
+                    discrete[-1] += cf.discrete
+                    decided[-1] += not cf.discrete
                     report = stability_report(g)
-                    assert (report.aut_x_order, report.aut_bx_order) == (1, 2)
-                    assert cover._layered_cover_form(g, cf).aut_order == 1
-        assert fast == [0, 0, 0, 0, 0, 8, 141, 3544]
+                    assert report.classification != "nontrivially_unstable"
+                    assert report.aut_bx_order == 2 * cf.aut_order
+                    assert (cover._layered_cover_form(g, cf).aut_order
+                            == cf.aut_order)
+        assert discrete == [0, 0, 0, 0, 0, 8, 141, 3544]
+        assert decided == [0, 0, 1, 2, 5, 20, 151, 1915]
+
+    def test_closed_twins_alone_decide_nothing(self):
+        # the bowtie has closed twins, and its twin quotient, the one
+        # canonical_form searches, is discrete; but its own coarsest
+        # equitable partition puts both pairs of twins in one cell, and it
+        # is non-trivially unstable (the repository's twins are open ones)
+        g = parse_graph6("DQ{")
+        assert not cover._closed_twin_cells(g)
+        report = stability_report(g)
+        assert report.classification == "nontrivially_unstable"
+        assert report.instability_index == 3
+
+    def test_complete_graphs_search_no_cover(self, monkeypatch):
+        # the cover of K_n is the crown graph on 2n vertices; the lemma
+        # reads |Aut(BX)| = 2 n! off X's own search
+        searched = []
+        real = cover.canonical_form
+
+        def recording(g, *args):
+            searched.append(g.n)
+            return real(g, *args)
+
+        monkeypatch.setattr(cover, "canonical_form", recording)
+        for n in range(3, 41):
+            report = stability_report(complete_graph(n))
+            assert report.aut_bx_order == 2 * math.factorial(n)
+            assert report.stable
+        assert searched == list(range(3, 41))
+
+    def test_cloned_closed_twins_agree_with_the_cover_search(self):
+        # each vertex of a seeded random base graph becomes a clique of
+        # closed twins joined to every clone of its neighbours; the report
+        # must agree with the layered cover search, decided by the lemma
+        # or not
+        rng = random.Random(12)
+        checked = decided = 0
+        for _ in range(3000):
+            k = rng.randint(3, 7)
+            base = [(u, v) for u in range(k) for v in range(u + 1, k)
+                    if rng.random() < 0.5]
+            sizes = [rng.choice((1, 1, 2, 3)) for _ in range(k)]
+            clones, n = [], 0
+            for size in sizes:
+                clones.append(range(n, n + size))
+                n += size
+            if not 5 <= n <= 13:
+                continue
+            edges = [(x, y) for c in clones for x in c for y in c if x < y]
+            edges += [(x, y) for u, v in base
+                      for x in clones[u] for y in clones[v]]
+            g = shuffled(Graph(n, edges), rng)
+            if not is_connected(g) or is_bipartite(g):
+                continue
+            layered = cover._layered_cover_form(g, canonical_form(g))
+            assert stability_report(g).aut_bx_order == 2 * layered.aut_order
+            checked += 1
+            decided += cover._closed_twin_cells(g)
+        assert checked >= 1750 and decided >= 1300
 
     def test_cover_order_matches_vf2(self, graphs_by_order):
         # networkx's VF2 enumerates cover automorphisms independently of the
